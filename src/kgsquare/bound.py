@@ -21,6 +21,8 @@ from typing import Literal
 import numpy as np
 
 from .core import (
+    E_MARGIN,
+    N_SCAN,
     DomainError,
     NumericalError,
     Parity,
@@ -30,8 +32,6 @@ from .core import (
     interior_q_squared,
 )
 
-E_MARGIN = 1e-9  # scans stay this far inside the open window (-1, 1)
-N_SCAN = 8192  # energy samples for the full-window scan
 DIP_DEPTH = 3  # rounds of x8 refinement around near-tangent residual dips
 DIP_FACTOR = 10.0  # a dip counts when |f| falls below (local median)/DIP_FACTOR
 RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root

@@ -17,6 +17,9 @@ from typing import Literal
 
 # Half-width of the band around g_t = 1/2 treated as exactly balanced.
 CLASS_EPSILON = 1e-12
+# Bound-state energy scans, shared by the quantization solver and the oracle.
+E_MARGIN = 1e-9  # scans stay this far inside the open window (-1, 1)
+N_SCAN = 8192  # energy samples for the full-window scan
 
 Region = Literal["exterior", "interior"]
 Direction = Literal["plus", "minus"]

@@ -10,16 +10,17 @@ fixed-step integration free of half-jump boundary errors.
 
 from __future__ import annotations
 
-import math
+import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, NumericalError, Parity, PotentialConfig
+from .core import E_MARGIN, N_SCAN, DomainError, NumericalError, Parity, PotentialConfig
 
-E_MARGIN = 1e-9  # bound-state scans stay this far inside (-1, 1)
-N_SCAN = 8192  # energy samples for the bound-state scan
-_BISECT_TOL = 1e-10  # bound-energy bisection width
+_BISECT_TOL = 1e-10  # bound-energy bracket width
+_K_SECTION = 64  # interior points per bracket in each refinement pass
+_NODE_CHUNK = 1 << 16  # node-potential values evaluated at once
 
 
 class OracleFailure(NumericalError):
@@ -45,10 +46,99 @@ class OracleConfig:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
 
 
-def _q2_at(x: np.ndarray, energy_e: np.ndarray, v0: np.ndarray, g_t: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Local squared wavenumber from pointwise potential values."""
-    v = np.where(np.abs(x) <= a, v0, 0.0)
+def _q2_at(v: np.ndarray, energy_e: np.ndarray, g_t: np.ndarray) -> np.ndarray:
+    """Local squared wavenumber where the potential takes the value ``v``."""
     return (energy_e - g_t * v) ** 2 - (1.0 + (1.0 - g_t) * v) ** 2
+
+
+def _node_coefficients(
+    position: Callable[[np.ndarray], np.ndarray],
+    n_nodes: int,
+    energy_e: np.ndarray,
+    v0: np.ndarray,
+    g_t: np.ndarray,
+    a: np.ndarray,
+) -> tuple[list[np.ndarray], list[int]]:
+    """RK4 coefficients -q^2 at the nodes 0..n_nodes-1, which sit at
+    ``position(j)``, from pointwise potential values.
+
+    Returns one coefficient array per distinct node potential and the index
+    of that array for every node. The potential is evaluated in chunks of
+    nodes, so no array spans all nodes and all energies.
+    """
+    table: dict[bytes, int] = {}
+    node: list[int] = []
+    chunk = max(1, _NODE_CHUNK // max(1, np.size(a)))
+    for start in range(0, n_nodes, chunk):
+        j = np.arange(start, min(start + chunk, n_nodes))
+        v = np.where(np.abs(position(j)) <= a, v0, 0.0)
+        for row in v.reshape(len(j), -1):
+            node.append(table.setdefault(row.tobytes(), len(table)))
+    coeff = [-_q2_at(np.frombuffer(key), energy_e, g_t) for key in table]
+    return coeff, node
+
+
+def _rk4(
+    phi: np.ndarray,
+    dphi: np.ndarray,
+    h: np.ndarray | float,
+    coeff: list[np.ndarray],
+    node: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 for phi'' = c(x) phi, elementwise over the arrays.
+
+    Step t runs from node 2t over the midpoint node 2t+1 to node 2t+2, and
+    ``coeff[node[j]]`` is c at node j.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    for t in range(0, len(node) - 1, 2):
+        c0, cm, c1 = coeff[node[t]], coeff[node[t + 1]], coeff[node[t + 2]]
+        k1d = c0 * phi
+        p2 = phi + half * dphi
+        d2 = dphi + half * k1d
+        k2d = cm * p2
+        p3 = phi + half * d2
+        d3 = dphi + half * k2d
+        k3d = cm * p3
+        p4 = phi + h * d3
+        d4 = dphi + h * k3d
+        k4d = c1 * p4
+        phi = phi + sixth * (dphi + 2.0 * d2 + 2.0 * d3 + d4)
+        dphi = dphi + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return phi, dphi
+
+
+def _matmul(m1: tuple[np.ndarray, ...], m2: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Elementwise product of 2x2 matrices stored as (a, b, c, d) = [[a, b], [c, d]]."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _propagator(h: float, coeff: list[np.ndarray], node: list[int]) -> tuple[np.ndarray, ...]:
+    """The RK4 steps over the nodes as one matrix (a, b, c, d), elementwise:
+    (phi, phi') at the last node is [[a, b], [c, d]] (phi, phi') at the first.
+
+    RK4 on a linear equation maps (phi, phi') linearly, and consecutive steps
+    with the same node coefficients apply the same map. So each run of such
+    steps is one RK4 step from the unit data (1, 0) and (0, 1), raised to the
+    run length by repeated squaring.
+    """
+    one, zero = np.ones_like(coeff[0]), np.zeros_like(coeff[0])
+    total = (one, zero, zero, one)
+    triples = [tuple(node[t : t + 3]) for t in range(0, len(node) - 1, 2)]
+    for triple, run in itertools.groupby(triples):
+        a, c = _rk4(one, zero, h, coeff, list(triple))
+        b, d = _rk4(zero, one, h, coeff, list(triple))
+        step, length = (a, b, c, d), sum(1 for _ in run)
+        while length:
+            if length & 1:
+                total = _matmul(step, total)
+            length >>= 1
+            if length:
+                step = _matmul(step, step)
+    return total
 
 
 def _transmission_batch(
@@ -61,39 +151,22 @@ def _transmission_batch(
     """Vectorized backward RK4 from a pure transmitted wave at x = +a down to
     x = -a; returns (R, T) per sample."""
     n = step_count
-    k = np.sqrt(energy_e * energy_e - 1.0)
-    h = -2.0 * a / n
-    # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
-    phi = np.exp(1j * k * a)
-    dphi = 1j * k * phi
-    minus_a = -a
-    for t in range(n):
-        # Node positions as fractions of a, with the two boundary nodes pinned
-        # to exactly +-a: rounding in a*n/n can land 1 ulp outside the well,
+
+    def position(j: np.ndarray) -> np.ndarray:
+        # Node j sits at a(n - j)/n, with the two boundary nodes pinned to
+        # exactly +-a: rounding in a*n/n can land 1 ulp outside the well,
         # where the node would wrongly see the exterior potential and degrade
         # the scheme to first order.
-        x0 = a if t == 0 else a * (n - 2 * t) / n
-        xm = a * (n - 2 * t - 1) / n
-        x1 = minus_a if t == n - 1 else a * (n - 2 * t - 2) / n
-        c0 = -_q2_at(x0, energy_e, v0, g_t, a)
-        cm = -_q2_at(xm, energy_e, v0, g_t, a)
-        c1 = -_q2_at(x1, energy_e, v0, g_t, a)
-        k1p = dphi
-        k1d = c0 * phi
-        p2 = phi + 0.5 * h * k1p
-        d2 = dphi + 0.5 * h * k1d
-        k2p = d2
-        k2d = cm * p2
-        p3 = phi + 0.5 * h * k2p
-        d3 = dphi + 0.5 * h * k2d
-        k3p = d3
-        k3d = cm * p3
-        p4 = phi + h * k3p
-        d4 = dphi + h * k3d
-        k4p = d4
-        k4d = c1 * p4
-        phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        dphi = dphi + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        x = a * (n - j)[:, None] / n
+        x[j == 0] = a
+        x[j == 2 * n] = -a
+        return x
+
+    coeff, node = _node_coefficients(position, 2 * n + 1, energy_e, v0, g_t, a)
+    k = np.sqrt(energy_e * energy_e - 1.0)
+    # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
+    phi = np.exp(1j * k * a)
+    phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, coeff, node)
     # Project onto incoming/reflected plane waves at x = -a.
     exp_ika = np.exp(1j * k * a)
     a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika
@@ -123,51 +196,24 @@ def oracle_transmission(
     return float(r[0]), float(t[0])
 
 
-def _shoot_mismatch(
-    energy_e: np.ndarray,
-    cfg: PotentialConfig,
-    parity: Parity,
-    step_count: int,
-) -> np.ndarray:
-    """Integrate from the center with even/odd initial data and return the
-    decaying-tail mismatch M(E) = phi'(a) + kappa phi(a)."""
+def _shoot_mismatch(energy_e: np.ndarray, cfg: PotentialConfig, step_count: int) -> np.ndarray:
+    """Integrate from the center to x = a and return the decaying-tail
+    mismatch M(E) = phi'(a) + kappa phi(a) as two rows: even initial data
+    (phi, phi') = (1, 0), then odd (0, 1)."""
     a = cfg.half_width_a
     m = max(step_count // 2, 500)  # steps on [0, a], matching the [-a, a] step size
-    h = a / m
-    if parity == "even":
-        phi = np.ones_like(energy_e)
-        dphi = np.zeros_like(energy_e)
-    else:
-        phi = np.zeros_like(energy_e)
-        dphi = np.ones_like(energy_e)
-    av = np.asarray(a, dtype=float)
-    v0 = np.asarray(cfg.v0, dtype=float)
-    g_t = np.asarray(cfg.g_t, dtype=float)
-    for t in range(m):
-        # Same endpoint pinning as the transmission integrator: a*m/m can
-        # round 1 ulp outside the well.
-        x0 = a * t / m
-        xm = a * (2 * t + 1) / (2 * m)
-        x1 = a if t == m - 1 else a * (t + 1) / m
-        c0 = -_q2_at(np.asarray(x0), energy_e, v0, g_t, av)
-        cm = -_q2_at(np.asarray(xm), energy_e, v0, g_t, av)
-        c1 = -_q2_at(np.asarray(x1), energy_e, v0, g_t, av)
-        k1p = dphi
-        k1d = c0 * phi
-        p2 = phi + 0.5 * h * k1p
-        d2 = dphi + 0.5 * h * k1d
-        k2p = d2
-        k2d = cm * p2
-        p3 = phi + 0.5 * h * k2p
-        d3 = dphi + 0.5 * h * k2d
-        k3p = d3
-        k3d = cm * p3
-        p4 = phi + h * k3p
-        d4 = dphi + h * k3d
-        k4p = d4
-        k4d = c1 * p4
-        phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        dphi = dphi + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+
+    def position(j: np.ndarray) -> np.ndarray:
+        # Node j sits at a j/(2m); the same endpoint pinning as the
+        # transmission integrator, since a*m/m can round 1 ulp outside the well.
+        x = a * j / (2 * m)
+        x[j == 2 * m] = a
+        return x
+
+    v0, g_t, av = (np.asarray(x, dtype=float) for x in (cfg.v0, cfg.g_t, a))
+    coeff, node = _node_coefficients(position, 2 * m + 1, energy_e, v0, g_t, av)
+    phi_even, phi_odd, dphi_even, dphi_odd = _propagator(a / m, coeff, node)
+    phi, dphi = np.stack([phi_even, phi_odd]), np.stack([dphi_even, dphi_odd])
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))):
         raise OracleFailure("shooting integration produced non-finite values")
     kappa = np.sqrt(1.0 - energy_e * energy_e)
@@ -178,27 +224,36 @@ def oracle_bound_states(
     cfg: PotentialConfig,
     ocfg: OracleConfig = OracleConfig(),
 ) -> list[tuple[float, Parity]]:
-    """Bound energies by parity shooting: scan the mismatch on N_SCAN energies
-    in (-1 + E_MARGIN, 1 - E_MARGIN) and bisect each sign change."""
+    """Bound energies by parity shooting.
+
+    One evaluation of the RK4 transfer matrix from x = 0 to x = a gives the
+    mismatch of both parities on N_SCAN energies in
+    (-1 + E_MARGIN, 1 - E_MARGIN). Each sign change is a bracket. Every pass then evaluates _K_SECTION interior points
+    of all brackets at once and keeps the first sub-interval with a sign
+    change, until every bracket is no wider than _BISECT_TOL. A level is the
+    midpoint of its bracket.
+    """
     e_grid = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
+    mm = _shoot_mismatch(e_grid, cfg, ocfg.step_count)
+    sign = np.sign(mm)
+    parity_row, cell = np.nonzero(sign[:, :-1] != sign[:, 1:])  # even brackets first
+    lo, hi, flo = e_grid[cell], e_grid[cell + 1], mm[parity_row, cell]
+    fractions = np.arange(1, _K_SECTION + 1) / (_K_SECTION + 1)
+    bracket = np.arange(lo.size)
+    while lo.size and (hi - lo).max() > _BISECT_TOL:
+        points = lo[:, None] + (hi - lo)[:, None] * fractions
+        f = _shoot_mismatch(points, cfg, ocfg.step_count)[parity_row, bracket]
+        # The bisection rule per point: the root lies above where the sign
+        # still matches the lower end.
+        above = (f > 0.0) == (flo[:, None] > 0.0)
+        # First point past the root; _K_SECTION when it lies above them all.
+        first = np.where(above.all(axis=1), _K_SECTION, above.argmin(axis=1))
+        edges = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
+        values = np.concatenate([flo[:, None], f], axis=1)
+        lo, hi, flo = edges[bracket, first], edges[bracket, first + 1], values[bracket, first]
     found: list[tuple[float, Parity]] = []
-    for parity in ("even", "odd"):
-        mm = _shoot_mismatch(e_grid, cfg, parity, ocfg.step_count)
-        sign = np.sign(mm)
-        change = sign[:-1] != sign[1:]
-        lo = e_grid[:-1][change].copy()
-        hi = e_grid[1:][change].copy()
-        flo = mm[:-1][change].copy()
-        if lo.size:
-            iterations = max(1, math.ceil(math.log2((hi - lo).max() / _BISECT_TOL)))
-            for _ in range(iterations):
-                mid = 0.5 * (lo + hi)
-                fmid = _shoot_mismatch(mid, cfg, parity, ocfg.step_count)
-                go_up = (fmid > 0.0) == (flo > 0.0)
-                lo = np.where(go_up, mid, lo)
-                flo = np.where(go_up, fmid, flo)
-                hi = np.where(go_up, hi, mid)
-        for e_root in 0.5 * (lo + hi):
-            if not any(p == parity and abs(e_root - e) < 1e-9 for e, p in found):
-                found.append((float(e_root), parity))
+    for e_root, row in zip(0.5 * (lo + hi), parity_row):
+        parity: Parity = "odd" if row else "even"
+        if not any(p == parity and abs(e_root - e) < 1e-9 for e, p in found):
+            found.append((float(e_root), parity))
     return sorted(found)

@@ -6,13 +6,48 @@ import pytest
 from kgsquare import (
     DomainError,
     OracleConfig,
+    OracleFailure,
     PotentialConfig,
     find_bound_states,
     oracle_bound_states,
     oracle_transmission,
 )
+from kgsquare.oracle import _node_coefficients, _propagator, _rk4, _transmission_batch
 
 FAST = OracleConfig(step_count=2000)
+GOLDEN = OracleConfig(step_count=4000)
+
+# (E, V0, a, g_t) -> (R, T) of oracle_transmission at 4000 steps, recorded
+# from the per-step reference integrator. One propagating (q^2 > 0) and one
+# evanescent (q^2 < 0) interior per class A, B, C.
+GOLDEN_TRANSMISSION = {
+    (1.5, 0.2, 1.0, 0.75): (0.07131423318152971, 0.9286857668184708),
+    (1.5, 2.0, 1.0, 0.75): (0.9909320503804779, 0.009067949619523615),
+    (1.5, 0.2, 1.0, 0.5): (0.060987109259064885, 0.9390128907409393),
+    (1.5, 2.0, 1.0, 0.5): (0.9987031110274395, 0.0012968889725618023),
+    (1.5, 0.2, 1.0, 0.25): (0.05168544372071439, 0.948314556279285),
+    (1.5, 2.0, 1.0, 0.25): (0.9997400044823297, 0.00025999551767182317),
+}
+
+# (g_t, a, V0) -> oracle_bound_states at 4000 steps, recorded from the
+# per-parity bisection reference.
+GOLDEN_LEVELS = {
+    (0.75, 0.5, -2.5): [(-0.9012023566956691, "even"), (-0.6635168191119152, "even")],
+    (0.5, 5.0, -3.5): [
+        (-0.980905431173569, "even"),
+        (-0.8608541044883535, "odd"),
+        (-0.6674297647376675, "even"),
+        (-0.43397409059557435, "odd"),
+        (-0.17894476988633296, "even"),
+        (0.08793350593869961, "odd"),
+        (0.3609791453599368, "even"),
+        (0.6357618721004477, "odd"),
+        (0.904597319839495, "even"),
+    ],
+}
+
+# Deep enough that the integrated solution overflows.
+OVERFLOW = PotentialConfig(-1e6, 5.0, 0.5)
 
 
 class TestOracleConfig:
@@ -71,6 +106,23 @@ class TestOracleTransmission:
         assert t_o == pytest.approx(t_c, abs=1e-6)
         assert r_o == pytest.approx(r_c, abs=1e-6)
 
+    @pytest.mark.parametrize("inputs", sorted(GOLDEN_TRANSMISSION))
+    def test_golden_values(self, inputs):
+        energy, v0, a, g_t = inputs
+        assert oracle_transmission(energy, PotentialConfig(v0, a, g_t), GOLDEN) == (
+            GOLDEN_TRANSMISSION[inputs]
+        )
+
+    def test_golden_values_batch(self):
+        inputs = sorted(GOLDEN_TRANSMISSION)
+        energy, v0, a, g_t = (np.array(col) for col in zip(*inputs))
+        r, t = _transmission_batch(energy, v0, g_t, a, GOLDEN.step_count)
+        assert list(zip(r.tolist(), t.tolist())) == [GOLDEN_TRANSMISSION[i] for i in inputs]
+
+    def test_overflow_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OracleFailure):
+            oracle_transmission(1.5, OVERFLOW, OracleConfig(step_count=1000))
+
 
 class TestOracleBoundStates:
     def test_free_particle_empty(self):
@@ -87,3 +139,45 @@ class TestOracleBoundStates:
         (e_o, parity_o) = oracle[0]
         assert parity_o == solver[0].parity == "even"
         assert e_o == pytest.approx(solver[0].energy_e, abs=1e-8)
+
+    @pytest.mark.parametrize("params", sorted(GOLDEN_LEVELS))
+    def test_golden_levels(self, params):
+        g_t, a, v0 = params
+        levels = oracle_bound_states(PotentialConfig(v0, a, g_t), GOLDEN)
+        golden = GOLDEN_LEVELS[params]
+        assert [p for _, p in levels] == [p for _, p in golden]
+        for (e, _), (e_golden, _) in zip(levels, golden):
+            assert e == pytest.approx(e_golden, abs=1e-10)
+
+    def test_overflow_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OracleFailure):
+            oracle_bound_states(OVERFLOW, OracleConfig(step_count=1000))
+
+
+class TestPropagator:
+    @pytest.mark.parametrize(
+        "cfg",
+        [PotentialConfig(-2.5, 0.5, 0.75), PotentialConfig(-3.5, 5.0, 0.5), PotentialConfig(1.5, 2.0, 0.0)],
+    )
+    def test_matches_step_loop(self, cfg):
+        # Repeated squaring regroups the rounding of 1000 steps, about 1e3 ulp
+        # in all; 1e-10 (about 5e5 ulp) leaves a wide margin. The nodes run
+        # past the well edge, so the steps form three runs: inside,
+        # straddling the edge, outside.
+        m, a = 1000, cfg.half_width_a
+        energy = np.linspace(-0.99, 0.99, 101)
+        coeff, node = _node_coefficients(
+            lambda j: 1.5 * a * j / (2 * m),
+            2 * m + 1,
+            energy,
+            np.asarray(cfg.v0),
+            np.asarray(cfg.g_t),
+            np.asarray(a),
+        )
+        assert len(set(node)) == 2
+        h = 1.5 * a / m
+        a11, a12, a21, a22 = _propagator(h, coeff, node)
+        one, zero = np.ones_like(energy), np.zeros_like(energy)
+        for start, columns in (((one, zero), (a11, a21)), ((zero, one), (a12, a22))):
+            for got, want in zip(columns, _rk4(*start, h, coeff, node)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
