@@ -3,10 +3,15 @@ conditions, spectra as functions of the strength, and detection of the
 Schiff-Snyder-Weinberg coalescence where a particle and an antiparticle
 level of the same parity merge and leave the real spectrum.
 
-The quantization conditions kappa/q = tan(qa) (even) and kappa/q = -cot(qa)
-(odd) are solved through the pole-free residuals
-    f_even = kappa cos(qa) - q sin(qa),
-    f_odd  = kappa sin(qa) + q cos(qa),
+On each interior branch s = +-1 the energy is a function of the interior
+phase z = qa, E(z) = g_t V0 + s sqrt((z/a)^2 + (1 + g_s V0)^2). With
+kappa = sqrt(1 - E^2), the Pruefer-style phase phi(z) = z - atan2(kappa a, z)
+turns the quantization conditions kappa/q = tan(qa) (even) and
+kappa/q = -cot(qa) (odd) into phi = j pi/2, j = 0, 1, 2, ..., with even j
+for even levels and odd j for odd ones. Every level is checked against the
+pole-free residuals
+    f_even = kappa cos(qa) - q sin(qa) = -(z0/a) sin(phi),
+    f_odd  = kappa sin(qa) + q cos(qa) =  (z0/a) cos(phi),
 whose zeros coincide with the poles of the transmission amplitude continued
 to k = i kappa.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -32,16 +38,12 @@ from .core import (
     interior_q_squared,
 )
 
-DIP_DEPTH = 3  # rounds of x8 refinement around near-tangent residual dips
-DIP_FACTOR = 10.0  # a dip counts when |f| falls below (local median)/DIP_FACTOR
 RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root
 DUALITY_TOL = 1e-8  # accepted |transmission denominator| at k -> i kappa
 SSW_V0_TOL = 1e-9  # width of the critical-strength bracket after refinement
-_BISECT_TOL = 1e-13  # energy-bisection width (contract asks for < 1e-12)
-_DEDUPE_TOL = 5e-12
+_GRID_PER_HALF_PI = 8  # phase-grid points per pi/2 of z on each branch
 _SSW_PAIR_WINDOW = 0.6  # max |delta E| for two deaths to count as one pair
 _SSW_EDGE = 0.95  # pair members must sit below this |E| (dives live near 1)
-_SSW_SCAN_N = 1025
 _SHRINK_FACTOR = 0.2  # required pair-separation shrinkage for a true coalescence
 
 
@@ -142,26 +144,6 @@ def quantization_residual(energy_e: float, cfg: PotentialConfig, parity: Parity)
     raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def _residual_continued(energy_e: float, cfg: PotentialConfig, parity: Parity) -> float:
-    """The residual continued through q^2 <= 0, where it is strictly positive
-    (evanescent interiors support no bound state); keeps bisection brackets
-    well defined even if a cell dips below q^2 = 0."""
-    q2 = interior_q_squared(energy_e, cfg)
-    kap = _kappa(energy_e)
-    aa = cfg.half_width_a
-    if q2 >= 0.0:
-        q = math.sqrt(q2)
-        qa = q * aa
-        if parity == "even":
-            return kap * math.cos(qa) - q * math.sin(qa)
-        return kap * math.sin(qa) + q * math.cos(qa)
-    mu = math.sqrt(-q2)
-    mua = mu * aa
-    if parity == "even":
-        return kap * math.cosh(mua) + mu * math.sinh(mua)
-    return kap * math.sinh(mua) + mu * math.cosh(mua)
-
-
 def z0_of(energy_e: float, cfg: PotentialConfig) -> float:
     """z0 = a sqrt((2 g_t - 1) V0^2 - 2 V0 ((E - 1) g_t + 1)), the radius of
     the quantization circle; identical to a sqrt(q^2 + kappa^2)."""
@@ -188,108 +170,123 @@ def pole_residual(energy_e: float, cfg: PotentialConfig) -> float:
     return abs(d)
 
 
-def _grid_residuals(
-    e: np.ndarray, cfg: PotentialConfig, parity: Parity
-) -> tuple[np.ndarray, np.ndarray]:
+def _phase(
+    z: np.ndarray, s: np.ndarray, cfg: PotentialConfig, critical: bool = False
+) -> tuple[np.ndarray, ...]:
+    """Energy E, phase phi, dphi/dz and kappa dphi/dz at the phases z on the
+    branches s, and with ``critical`` the z-derivative of kappa dphi/dz. That
+    product has the zeros of phi' but stays finite at the window edges."""
+    a = cfg.half_width_a
+    q = z / a
+    w = np.hypot(q, 1.0 + cfg.g_s * cfg.v0)  # |E - g_t V0|
+    e = cfg.g_t * cfg.v0 + s * w
+    k2 = (1.0 - e) * (1.0 + e)
+    kap = np.sqrt(k2)
+    c = np.divide(q, w, out=np.ones_like(q), where=w > 0.0)  # dw/dq; E = g_t V0 + s q at w = 0
+    sec = s * e * c
+    num = q * sec + k2
+    den = q * q + k2  # (z0/a)^2
+    g = num / (a * den)  # kappa (phi' - 1)
+    out = (e, z - np.arctan2(kap, q), 1.0 + g / kap, kap + g)
+    if not critical:
+        return out
+    dg = (q - sec) * (c * c * den - 2.0 * num) / (a * a * den * den)
+    return out + (dg - sec / (a * kap),)
+
+
+def _newton(fun: Callable, lo: np.ndarray, hi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Roots of the increasing functions ``fun`` (value, derivative) on the
+    brackets [lo, hi], with fun(lo) < 0 <= fun(hi), all at once from the
+    starting points z. Every iterate replaces the bracket end of its sign, and
+    a Newton step that leaves the bracket becomes a bisection. A root is done
+    when its Newton step is within rounding of the iterate, or when its
+    bracket can no longer be split."""
+    active = np.ones(z.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            f, df = fun(z)
+            below = f < 0.0
+            lo = np.where(below, z, lo)
+            hi = np.where(below, hi, z)
+            newton = z - f / df
+            z_new = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            # a step within a few ulps of the phase scale is rounding noise
+            active = (np.abs(newton - z) > 4.0 * np.spacing(z + 1.0)) & (z_new != z)
+            z = np.where(active, z_new, z)
+    return z
+
+
+def _levels(cfg: PotentialConfig, e_lo: float, e_hi: float) -> list[tuple[float, Parity]]:
+    """Every level with energy in [e_lo, e_hi], sorted, as (E, parity).
+
+    Each interior branch is sampled at _GRID_PER_HALF_PI points per pi/2 of
+    z. Sign changes of phi' there are refined to the critical points of phi,
+    which cut the branch into cells on which phi is monotone. Every j pi/2 in
+    the range of a cell is then exactly one root, refined by Newton.
+    """
+    a = cfg.half_width_a
     vt = cfg.g_t * cfg.v0
-    vs = cfg.g_s * cfg.v0
-    q2 = (e - vt) ** 2 - (1.0 + vs) ** 2
-    mask = q2 > 0.0
-    q = np.sqrt(np.where(mask, q2, 0.0))
-    kap = np.sqrt((1.0 - e) * (1.0 + e))
-    qa = q * cfg.half_width_a
-    if parity == "even":
-        f = kap * np.cos(qa) - q * np.sin(qa)
-    else:
-        f = kap * np.sin(qa) + q * np.cos(qa)
-    return mask, f
-
-
-def _bisect_root(cfg: PotentialConfig, parity: Parity, lo: float, hi: float) -> float:
-    flo = _residual_continued(lo, cfg, parity)
-    fhi = _residual_continued(hi, cfg, parity)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL or mid <= lo or mid >= hi:
-            break
-        fmid = _residual_continued(mid, cfg, parity)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    # one secant polish drives the residual itself toward zero
-    if fhi != flo:
-        sec = hi - fhi * (hi - lo) / (fhi - flo)
-        if lo <= sec <= hi:
-            return sec
-    return 0.5 * (lo + hi)
-
-
-def _scan_roots(
-    cfg: PotentialConfig,
-    parity: Parity,
-    e_lo: float,
-    e_hi: float,
-    n: int,
-    depth: int,
-) -> list[float]:
-    """Sign-change scan of the residual on [e_lo, e_hi] restricted to the
-    q^2 > 0 subintervals, with recursive x8 refinement around residual dips
-    that have no sign change (near-tangent double roots)."""
-    e = np.linspace(e_lo, e_hi, n)
-    mask, f = _grid_residuals(e, cfg, parity)
-    if not mask.any():
+    m = abs(1.0 + cfg.g_s * cfg.v0)
+    zs, ss = [], []
+    for s in (1.0, -1.0):
+        w_lo, w_hi = sorted((s * (e_lo - vt), s * (e_hi - vt)))
+        w_lo = max(w_lo, m)
+        if w_hi > w_lo:
+            z_lo, z_hi = (a * math.sqrt((w - m) * (w + m)) for w in (w_lo, w_hi))
+            n = 2 + int((z_hi - z_lo) * _GRID_PER_HALF_PI / (0.5 * math.pi))
+            zs.append(np.linspace(z_lo, z_hi, n))
+            ss.append(np.full(n, s))
+    if not zs:
         return []
-    sgn = np.sign(f)
-    roots: list[float] = []
-    cell = mask[:-1] & mask[1:] & (sgn[:-1] != sgn[1:])
-    for i in np.nonzero(cell)[0]:
-        roots.append(_bisect_root(cfg, parity, float(e[i]), float(e[i + 1])))
-    if depth > 0:
-        af = np.abs(f)
-        interior = mask[:-2] & mask[1:-1] & mask[2:]
-        locmin = (
-            interior
-            & (af[1:-1] <= af[:-2])
-            & (af[1:-1] <= af[2:])
-            & (sgn[:-2] == sgn[1:-1])
-            & (sgn[1:-1] == sgn[2:])
-        )
-        for j in np.nonzero(locmin)[0]:
-            i = int(j) + 1
-            w_lo = max(0, i - 32)
-            w_hi = min(n, i + 33)
-            window = af[w_lo:w_hi][mask[w_lo:w_hi]]
-            med = float(np.median(window)) if window.size else 0.0
-            if af[i] < med / DIP_FACTOR:
-                roots.extend(
-                    _scan_roots(cfg, parity, float(e[i - 1]), float(e[i + 1]), 17, depth - 1)
-                )
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > _DEDUPE_TOL:
-            deduped.append(r)
-    return deduped
+    z, s = np.concatenate(zs), np.concatenate(ss)
+    _, phi, _, slope = _phase(z, s, cfg)
+    rising = slope > 0.0
+    i = np.nonzero((rising[:-1] != rising[1:]) & (s[:-1] == s[1:]))[0]
+    if i.size:
+        orient = np.where(rising[i], -1.0, 1.0)
+        si = s[i]
+
+        def oriented_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            _, _, _, k1, dk1 = _phase(x, si, cfg, True)
+            return orient * k1, orient * dk1
+
+        lo, hi = z[i], z[i + 1]
+        start = lo + slope[i] / (slope[i] - slope[i + 1]) * (hi - lo)
+        c = _newton(oriented_slope, lo, hi, start)
+        z = np.insert(z, i + 1, c)
+        s = np.insert(s, i + 1, si)
+        phi = np.insert(phi, i + 1, _phase(c, si, cfg)[1])
+
+    x = phi / (0.5 * math.pi)
+    x0, x1 = x[:-1], x[1:]
+    up = x1 > x0
+    # labels j with j pi/2 in (phi0, phi1] on a rising cell, [phi1, phi0) on a falling one
+    first = np.maximum(np.where(up, np.floor(x0) + 1.0, np.ceil(x1)), 0.0)
+    last = np.where(up, np.floor(x1), np.ceil(x0) - 1.0)
+    count = np.where(s[:-1] == s[1:], np.maximum(last - first + 1.0, 0.0), 0.0).astype(int)
+    cell = np.repeat(np.arange(count.size), count)
+    j = first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
+    target = j * (0.5 * math.pi)
+    lo, hi, f0, f1, sc = z[cell], z[cell + 1], phi[cell], phi[cell + 1], s[cell]
+    orient = np.where(up[cell], 1.0, -1.0)
+
+    def offset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, p, d1, _ = _phase(x, sc, cfg)
+        return orient * (p - target), orient * d1
+
+    root = _newton(offset, lo, hi, lo + (target - f0) / (f1 - f0) * (hi - lo))
+    energies = _phase(root, sc, cfg)[0]
+    return sorted(
+        (float(e), "even" if jj % 2 == 0 else "odd") for e, jj in zip(energies, j.astype(int))
+    )
 
 
 def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     """All bound levels of the configuration, sorted by energy and indexed
     from 1; every root is checked against the quantization residual and the
     transmission-pole duality."""
-    found: list[tuple[float, Parity]] = []
-    for parity in ("even", "odd"):
-        for e_root in _scan_roots(cfg, parity, -1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN, DIP_DEPTH):
-            found.append((e_root, parity))
-    found.sort()
     states: list[BoundState] = []
-    for idx, (e_root, parity) in enumerate(found, start=1):
+    for idx, (e_root, parity) in enumerate(_levels(cfg, -1.0 + E_MARGIN, 1.0 - E_MARGIN), start=1):
         q2 = interior_q_squared(e_root, cfg)
         if not q2 > 0.0:
             raise NumericalError(f"bound root with non-propagating interior: E={e_root}")
@@ -374,7 +371,7 @@ def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent
     while abs(v_dead - v_alive) > SSW_V0_TOL:
         v_mid = 0.5 * (v_alive + v_dead)
         cfg_mid = PotentialConfig(v_mid, half_width_a, g_t)
-        roots = _scan_roots(cfg_mid, cand.parity, w_lo, w_hi, _SSW_SCAN_N, 2)
+        roots = [e for e, p in _levels(cfg_mid, w_lo, w_hi) if p == cand.parity]
         if roots:
             v_alive = v_mid
             roots_alive = roots

@@ -55,6 +55,11 @@ class PotentialConfig:
     g_t: float
 
     def __post_init__(self) -> None:
+        # Plain floats keep numpy scalars from changing results or warnings;
+        # float inputs skip the slow writes to the frozen fields.
+        if not type(self.v0) is type(self.half_width_a) is type(self.g_t) is float:
+            for name in ("v0", "half_width_a", "g_t"):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.half_width_a) and self.half_width_a > 0.0):
             raise DomainError(f"half_width_a must be positive, got {self.half_width_a}")
         if not (math.isfinite(self.g_t) and 0.0 <= self.g_t <= 1.0):

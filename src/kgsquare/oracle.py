@@ -164,13 +164,15 @@ def _transmission_batch(
 
     coeff, node = _node_coefficients(position, 2 * n + 1, energy_e, v0, g_t, a)
     k = np.sqrt(energy_e * energy_e - 1.0)
-    # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
-    phi = np.exp(1j * k * a)
-    phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, coeff, node)
-    # Project onto incoming/reflected plane waves at x = -a.
-    exp_ika = np.exp(1j * k * a)
-    a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika
-    a_minus = 0.5 * (phi - dphi / (1j * k)) / exp_ika
+    # Overflow surfaces as the OracleFailure below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
+        phi = np.exp(1j * k * a)
+        phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, coeff, node)
+        # Project onto incoming/reflected plane waves at x = -a.
+        exp_ika = np.exp(1j * k * a)
+        a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika
+        a_minus = 0.5 * (phi - dphi / (1j * k)) / exp_ika
     if not (np.all(np.isfinite(a_plus)) and np.all(np.isfinite(a_minus))):
         raise OracleFailure("transmission integration produced non-finite amplitudes")
     r = np.abs(a_minus / a_plus) ** 2
@@ -212,7 +214,8 @@ def _shoot_mismatch(energy_e: np.ndarray, cfg: PotentialConfig, step_count: int)
 
     v0, g_t, av = (np.asarray(x, dtype=float) for x in (cfg.v0, cfg.g_t, a))
     coeff, node = _node_coefficients(position, 2 * m + 1, energy_e, v0, g_t, av)
-    phi_even, phi_odd, dphi_even, dphi_odd = _propagator(a / m, coeff, node)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as OracleFailure below
+        phi_even, phi_odd, dphi_even, dphi_odd = _propagator(a / m, coeff, node)
     phi, dphi = np.stack([phi_even, phi_odd]), np.stack([dphi_even, dphi_odd])
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))):
         raise OracleFailure("shooting integration produced non-finite values")

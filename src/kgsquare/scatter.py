@@ -80,6 +80,7 @@ def coefficients(energy_e: float, cfg: PotentialConfig) -> tuple[float, float]:
     independently from its own closed form, the two are checked to satisfy
     R + T = 1 within 1e-12, and R = 1 - T is returned.
     """
+    energy_e = float(energy_e)
     if not energy_e > 1.0:
         raise DomainError(f"no incident propagating wave: requires E > 1, got {energy_e}")
     k2 = energy_e * energy_e - 1.0
@@ -106,6 +107,7 @@ def amplitudes(energy_e: float, cfg: PotentialConfig) -> ScatteringSolution:
     cannot overflow. R and T in the result come from the closed forms and are
     cross-checked against the amplitude magnitudes.
     """
+    energy_e = float(energy_e)
     if not energy_e > 1.0:
         raise DomainError(f"no incident propagating wave: requires E > 1, got {energy_e}")
     a = cfg.half_width_a

@@ -25,6 +25,33 @@ SSW_V0 = -2.2526775990478694
 SSW_E = -0.8558233459004724
 
 
+# (V0, a, g_t) -> (even, odd) level counts of wide wells, from a dense
+# sign-change scan of the parity residuals (2^21 points over the window, the
+# count unchanged from 2^20 points). V0 is the middle of the per-g_t depth
+# window of the wide-well benchmark, plus one deeper scalar well.
+WIDE_WELL_COUNTS = {
+    (-1.0, 5.0, 1.0): (3, 3),
+    (-1.75, 5.0, 0.5): (3, 3),
+    (-1.25, 5.0, 0.0): (4, 4),
+    (-1.0, 20.0, 1.0): (12, 11),
+    (-1.75, 20.0, 0.5): (12, 12),
+    (-1.25, 20.0, 0.0): (14, 12),
+    (-1.0, 50.0, 1.0): (28, 28),
+    (-1.75, 50.0, 0.5): (30, 30),
+    (-1.25, 50.0, 0.0): (32, 30),
+    (-1.0, 100.0, 1.0): (56, 55),
+    (-1.75, 100.0, 0.5): (60, 60),
+    (-1.25, 100.0, 0.0): (62, 62),
+    (-1.0, 200.0, 1.0): (111, 110),
+    (-1.75, 200.0, 0.5): (120, 119),
+    (-1.25, 200.0, 0.0): (124, 124),
+    (-1.0, 400.0, 1.0): (221, 221),
+    (-1.75, 400.0, 0.5): (239, 238),
+    (-1.25, 400.0, 0.0): (248, 246),
+    (-1.5, 400.0, 0.0): (222, 220),
+}
+
+
 def _cfg_at_phase(energy_e: float, phase: float, a: float = 1.0) -> PotentialConfig:
     """Pure vector well whose interior phase q*a equals ``phase`` at E."""
     v0 = energy_e - math.sqrt((phase / a) ** 2 + 1.0)
@@ -152,8 +179,9 @@ class TestFindBoundStates:
             assert z == pytest.approx(n * math.pi / 2.0, rel=0.02)
 
     def test_resolves_near_coalescent_pair(self):
-        # 1e-8 from the critical depth the even pair is split by ~1e-4 and the
-        # adaptive dip refinement must still find both levels.
+        # 1e-8 from the critical depth the even pair is split by ~1e-4 and
+        # both levels must still be found, one on each side of the minimum
+        # of the phase function.
         states = find_bound_states(PotentialConfig(SSW_V0 + 1e-8, 0.5, 1.0))
         pair = [s for s in states if s.parity == "even" and s.energy_e < -0.5]
         assert len(pair) == 2
@@ -161,6 +189,13 @@ class TestFindBoundStates:
         assert 1e-5 < gap < 1e-3
         for s in pair:
             assert s.energy_e == pytest.approx(SSW_E, abs=1e-3)
+
+    @pytest.mark.parametrize("v0,a,g_t", list(WIDE_WELL_COUNTS))
+    def test_wide_well_level_counts(self, v0, a, g_t):
+        # Level spacings shrink toward the interior threshold q = 0.
+        states = find_bound_states(PotentialConfig(v0, a, g_t))
+        even = sum(s.parity == "even" for s in states)
+        assert (even, len(states) - even) == WIDE_WELL_COUNTS[(v0, a, g_t)]
 
     def test_matches_shooting_oracle(self):
         ocfg = OracleConfig(step_count=4000)

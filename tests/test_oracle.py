@@ -1,5 +1,7 @@
 """Direct-integration verifiers: transmission integrator and parity shooting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,9 @@ class TestOracleTransmission:
         assert list(zip(r.tolist(), t.tolist())) == [GOLDEN_TRANSMISSION[i] for i in inputs]
 
     def test_overflow_raises(self):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OracleFailure):
+        # The exception alone reports the failure: no numpy warning before it.
+        with warnings.catch_warnings(), pytest.raises(OracleFailure):
+            warnings.simplefilter("error")
             oracle_transmission(1.5, OVERFLOW, OracleConfig(step_count=1000))
 
 
@@ -150,7 +154,9 @@ class TestOracleBoundStates:
             assert e == pytest.approx(e_golden, abs=1e-10)
 
     def test_overflow_raises(self):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OracleFailure):
+        # The exception alone reports the failure: no numpy warning before it.
+        with warnings.catch_warnings(), pytest.raises(OracleFailure):
+            warnings.simplefilter("error")
             oracle_bound_states(OVERFLOW, OracleConfig(step_count=1000))
 
 

@@ -1,6 +1,7 @@
 """Scattering coefficients, amplitude ratios, resonances, and sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestCoefficients:
         r, t = coefficients(1.1, PotentialConfig(600.0, 3.0, 0.5))
         assert 0.0 < t < 1e-100
         assert r + t == pytest.approx(1.0, abs=1e-12)
+
+    def test_numpy_scalar_inputs_are_coerced(self):
+        # numpy scalars must neither warn on overflow nor leak into results.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = PotentialConfig(np.float64(3.0), np.float64(60.0), np.float64(0.0))
+            r, t = coefficients(np.float64(1.5), cfg)
+            sol = amplitudes(np.float64(1.5), cfg)
+        assert [type(x) for x in (cfg.v0, cfg.half_width_a, cfg.g_t, r, t, sol.r, sol.t)] == [float] * 7
+        assert (r, t) == coefficients(1.5, PotentialConfig(3.0, 60.0, 0.0))
 
     def test_requires_propagating_incidence(self):
         for energy in (1.0, 0.5, -2.0):
