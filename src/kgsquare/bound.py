@@ -14,6 +14,11 @@ pole-free residuals
     f_odd  = kappa sin(qa) + q cos(qa) =  (z0/a) cos(phi),
 whose zeros coincide with the poles of the transmission amplitude continued
 to k = i kappa.
+
+A spectrum sweep solves all its grid strengths in one vectorised pass: every
+branch of every configuration is one segment of a single flat phase grid,
+and the roots and their checks are computed for all segments at once.
+find_bound_states is that pass on a batch of one configuration.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .core import (
     SolutionClass,
     classify,
     interior_q_squared,
+    monotone_grid,
 )
 
 RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root
@@ -171,15 +177,21 @@ def pole_residual(energy_e: float, cfg: PotentialConfig) -> float:
 
 
 def _phase(
-    z: np.ndarray, s: np.ndarray, cfg: PotentialConfig, critical: bool = False
+    z: np.ndarray,
+    s: np.ndarray,
+    a: np.ndarray,
+    vt: np.ndarray,
+    m: np.ndarray,
+    critical: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Energy E, phase phi, dphi/dz and kappa dphi/dz at the phases z on the
-    branches s, and with ``critical`` the z-derivative of kappa dphi/dz. That
-    product has the zeros of phi' but stays finite at the window edges."""
-    a = cfg.half_width_a
+    branches s, for wells of half-width a, vector part vt = g_t V0 and mass
+    term m = 1 + g_s V0 (all per element), and with ``critical`` the
+    z-derivative of kappa dphi/dz. That product has the zeros of phi' but
+    stays finite at the window edges."""
     q = z / a
-    w = np.hypot(q, 1.0 + cfg.g_s * cfg.v0)  # |E - g_t V0|
-    e = cfg.g_t * cfg.v0 + s * w
+    w = np.hypot(q, m)  # |E - g_t V0|
+    e = vt + s * w
     k2 = (1.0 - e) * (1.0 + e)
     kap = np.sqrt(k2)
     c = np.divide(q, w, out=np.ones_like(q), where=w > 0.0)  # dw/dq; E = g_t V0 + s q at w = 0
@@ -216,46 +228,84 @@ def _newton(fun: Callable, lo: np.ndarray, hi: np.ndarray, z: np.ndarray) -> np.
     return z
 
 
-def _levels(cfg: PotentialConfig, e_lo: float, e_hi: float) -> list[tuple[float, Parity]]:
-    """Every level with energy in [e_lo, e_hi], sorted, as (E, parity).
+def _columns(cfgs: list[PotentialConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V0, a and g_t of the configurations as arrays."""
+    return (
+        np.array([c.v0 for c in cfgs]),
+        np.array([c.half_width_a for c in cfgs]),
+        np.array([c.g_t for c in cfgs]),
+    )
 
-    Each interior branch is sampled at _GRID_PER_HALF_PI points per pi/2 of
-    z. Sign changes of phi' there are refined to the critical points of phi,
-    which cut the branch into cells on which phi is monotone. Every j pi/2 in
-    the range of a cell is then exactly one root, refined by Newton.
+
+def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linspace(lo[i], hi[i], n[i]) for every i, bit for bit, concatenated,
+    with the index i of every point: k * ((hi - lo) / (n - 1)) + lo for
+    k = 0 .. n - 1, and the last point set to hi."""
+    seg = np.repeat(np.arange(n.size), n)
+    end = np.cumsum(n)
+    k = np.arange(seg.size) - (end - n)[seg]
+    z = k * ((hi - lo) / (n - 1))[seg] + lo[seg]
+    z[end - 1] = hi
+    return seg, z
+
+
+def _levels(
+    cfgs: list[PotentialConfig], e_lo: float, e_hi: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every level with energy in [e_lo, e_hi] of every configuration, as the
+    arrays (owner, E, j): the index of the configuration in ``cfgs``, the
+    energy and the phase label (even j: even parity). Sorted by owner, then
+    by energy, then even before odd.
+
+    All configurations are solved in one vectorised pass. Each interior branch
+    s of each configuration is a segment of one flat z-grid, sampled at
+    _GRID_PER_HALF_PI points per pi/2 of z exactly as np.linspace would.
+    Sign changes of phi' within a segment are refined to the critical points
+    of phi, which cut the segment into cells on which phi is monotone. Every
+    j pi/2 in the range of a cell is then exactly one root, refined by Newton.
+    Every element is refined on its own, so a configuration's levels do not
+    depend on the others in the batch.
     """
-    a = cfg.half_width_a
-    vt = cfg.g_t * cfg.v0
-    m = abs(1.0 + cfg.g_s * cfg.v0)
-    zs, ss = [], []
-    for s in (1.0, -1.0):
-        w_lo, w_hi = sorted((s * (e_lo - vt), s * (e_hi - vt)))
-        w_lo = max(w_lo, m)
-        if w_hi > w_lo:
-            z_lo, z_hi = (a * math.sqrt((w - m) * (w + m)) for w in (w_lo, w_hi))
-            n = 2 + int((z_hi - z_lo) * _GRID_PER_HALF_PI / (0.5 * math.pi))
-            zs.append(np.linspace(z_lo, z_hi, n))
-            ss.append(np.full(n, s))
-    if not zs:
-        return []
-    z, s = np.concatenate(zs), np.concatenate(ss)
-    _, phi, _, slope = _phase(z, s, cfg)
+    v0, a, g_t = _columns(cfgs)
+    vt = g_t * v0
+    m = np.abs(1.0 + (1.0 - g_t) * v0)
+    # segments: configuration-major, branch s = +1 before s = -1
+    s_seg = np.tile([1.0, -1.0], len(cfgs))
+    own = np.repeat(np.arange(len(cfgs)), 2)
+    w_a, w_b = s_seg * (e_lo - vt[own]), s_seg * (e_hi - vt[own])
+    w_lo = np.maximum(np.minimum(w_a, w_b), m[own])
+    w_hi = np.maximum(w_a, w_b)
+    keep = w_hi > w_lo
+    s_seg, own, w_lo, w_hi = s_seg[keep], own[keep], w_lo[keep], w_hi[keep]
+    if not own.size:
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+    a_seg, m_seg = a[own], m[own]
+    z_lo = a_seg * np.sqrt((w_lo - m_seg) * (w_lo + m_seg))
+    z_hi = a_seg * np.sqrt((w_hi - m_seg) * (w_hi + m_seg))
+    n = 2 + ((z_hi - z_lo) * _GRID_PER_HALF_PI / (0.5 * math.pi)).astype(int)
+    seg, z = _linspaces(z_lo, z_hi, n)
+    params = (s_seg, a_seg, vt[own], m_seg)
+
+    def at(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(p[cells] for p in params)
+
+    _, phi, _, slope = _phase(z, *at(seg))
     rising = slope > 0.0
-    i = np.nonzero((rising[:-1] != rising[1:]) & (s[:-1] == s[1:]))[0]
+    i = np.nonzero((rising[:-1] != rising[1:]) & (seg[:-1] == seg[1:]))[0]
     if i.size:
         orient = np.where(rising[i], -1.0, 1.0)
-        si = s[i]
+        p_crit = at(seg[i])
 
         def oriented_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, _, _, k1, dk1 = _phase(x, si, cfg, True)
+            _, _, _, k1, dk1 = _phase(x, *p_crit, True)
             return orient * k1, orient * dk1
 
         lo, hi = z[i], z[i + 1]
         start = lo + slope[i] / (slope[i] - slope[i + 1]) * (hi - lo)
         c = _newton(oriented_slope, lo, hi, start)
         z = np.insert(z, i + 1, c)
-        s = np.insert(s, i + 1, si)
-        phi = np.insert(phi, i + 1, _phase(c, si, cfg)[1])
+        phi = np.insert(phi, i + 1, _phase(c, *p_crit)[1])
+        seg = np.insert(seg, i + 1, seg[i])
 
     x = phi / (0.5 * math.pi)
     x0, x1 = x[:-1], x[1:]
@@ -263,49 +313,92 @@ def _levels(cfg: PotentialConfig, e_lo: float, e_hi: float) -> list[tuple[float,
     # labels j with j pi/2 in (phi0, phi1] on a rising cell, [phi1, phi0) on a falling one
     first = np.maximum(np.where(up, np.floor(x0) + 1.0, np.ceil(x1)), 0.0)
     last = np.where(up, np.floor(x1), np.ceil(x0) - 1.0)
-    count = np.where(s[:-1] == s[1:], np.maximum(last - first + 1.0, 0.0), 0.0).astype(int)
+    count = np.where(seg[:-1] == seg[1:], np.maximum(last - first + 1.0, 0.0), 0.0).astype(int)
     cell = np.repeat(np.arange(count.size), count)
     j = first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
     target = j * (0.5 * math.pi)
-    lo, hi, f0, f1, sc = z[cell], z[cell + 1], phi[cell], phi[cell + 1], s[cell]
+    lo, hi, f0, f1 = z[cell], z[cell + 1], phi[cell], phi[cell + 1]
+    p_cell = at(seg[cell])
     orient = np.where(up[cell], 1.0, -1.0)
 
     def offset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, p, d1, _ = _phase(x, sc, cfg)
+        _, p, d1, _ = _phase(x, *p_cell)
         return orient * (p - target), orient * d1
 
     root = _newton(offset, lo, hi, lo + (target - f0) / (f1 - f0) * (hi - lo))
-    energies = _phase(root, sc, cfg)[0]
-    return sorted(
-        (float(e), "even" if jj % 2 == 0 else "odd") for e, jj in zip(energies, j.astype(int))
-    )
+    energies = _phase(root, *p_cell)[0]
+    owner = own[seg[cell]]
+    order = np.lexsort((j % 2.0, energies, owner))
+    return owner[order], energies[order], j[order]
+
+
+def _check_levels(
+    owner: np.ndarray,
+    e: np.ndarray,
+    odd: np.ndarray,
+    v0: np.ndarray,
+    a: np.ndarray,
+    g_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-level root checks, for all levels at once: a propagating
+    interior, the quantization residual, the transmission-pole duality and
+    z < z0, with the formulas of interior_q_squared, quantization_residual,
+    pole_residual and z0_of. Raises at the first level that fails, in level
+    order, with the error of the first check it fails. Returns (z, z0)."""
+    v0, a, g_t = v0[owner], a[owner], g_t[owner]
+    vt = g_t * v0
+    # float_power is libm pow, as Python's ** is: q^2 keeps the scalar's last bit
+    q2 = np.float_power(e - vt, 2.0) - np.float_power(1.0 + (1.0 - g_t) * v0, 2.0)
+    with np.errstate(invalid="ignore"):
+        q = np.sqrt(q2)
+        z = q * a
+        kap = np.sqrt((1.0 - e) * (1.0 + e))
+        sin, cos = np.sin(z), np.cos(z)
+        residual = np.abs(np.where(odd, kap * sin + q * cos, kap * cos - q * sin))
+        two_qa = 2.0 * q * a
+        dual = np.abs(2.0 * kap * q * np.cos(two_qa) - (q * q - kap * kap) * np.sin(two_qa))
+        radicand = (2.0 * g_t - 1.0) * v0 * v0 - 2.0 * v0 * ((e - 1.0) * g_t + 1.0)
+        z0 = a * np.sqrt(radicand)
+        checks = (
+            (~(q2 > 0.0), lambda k: NumericalError(
+                f"bound root with non-propagating interior: E={e[k]}")),
+            (~(np.abs(e) < 1.0), lambda k: DomainError(
+                f"bound energies require |E| < 1, got {e[k]}")),
+            (residual > RESIDUAL_TOL, lambda k: NumericalError(
+                f"quantization residual {residual[k]} above {RESIDUAL_TOL} at E={e[k]}")),
+            (dual > DUALITY_TOL, lambda k: NumericalError(
+                f"pole-duality residual {dual[k]} above {DUALITY_TOL} at E={e[k]}")),
+            (radicand < 0.0, lambda k: DomainError(
+                f"no real z0 at E={e[k]}, V0={v0[k]}: radicand={radicand[k]}")),
+            (~(z < z0), lambda k: NumericalError(
+                f"z >= z0 at bound root E={e[k]} (z={z[k]}, z0={z0[k]})")),
+        )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise next(err(k) for mask, err in checks if mask[k])
+    return z, z0
+
+
+def _bound_states(cfgs: list[PotentialConfig]) -> list[list[BoundState]]:
+    """find_bound_states of every configuration, solved and checked in one
+    vectorised pass."""
+    owner, e, j = _levels(cfgs, -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+    odd = j % 2.0 == 1.0
+    z, z0 = _check_levels(owner, e, odd, *_columns(cfgs))
+    states: list[list[BoundState]] = [[] for _ in cfgs]
+    levels = zip(owner.tolist(), e.tolist(), odd.tolist(), z.tolist(), z0.tolist())
+    for c, e_k, odd_k, z_k, z0_k in levels:
+        out = states[c]
+        out.append(BoundState(e_k, "odd" if odd_k else "even", len(out) + 1, z_k, z0_k))
+    return states
 
 
 def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     """All bound levels of the configuration, sorted by energy and indexed
     from 1; every root is checked against the quantization residual and the
     transmission-pole duality."""
-    states: list[BoundState] = []
-    for idx, (e_root, parity) in enumerate(_levels(cfg, -1.0 + E_MARGIN, 1.0 - E_MARGIN), start=1):
-        q2 = interior_q_squared(e_root, cfg)
-        if not q2 > 0.0:
-            raise NumericalError(f"bound root with non-propagating interior: E={e_root}")
-        residual = abs(quantization_residual(e_root, cfg, parity))
-        if residual > RESIDUAL_TOL:
-            raise NumericalError(
-                f"quantization residual {residual} above {RESIDUAL_TOL} at E={e_root}"
-            )
-        dual = pole_residual(e_root, cfg)
-        if dual > DUALITY_TOL:
-            raise NumericalError(
-                f"pole-duality residual {dual} above {DUALITY_TOL} at E={e_root}"
-            )
-        z = math.sqrt(q2) * cfg.half_width_a
-        z0 = z0_of(e_root, cfg)
-        if not z < z0:
-            raise NumericalError(f"z >= z0 at bound root E={e_root} (z={z}, z0={z0})")
-        states.append(BoundState(e_root, parity, idx, z, z0))
-    return states
+    return _bound_states([cfg])[0]
 
 
 def count_imaginary_q_solutions(cfg: PotentialConfig, n_scan: int = N_SCAN) -> int:
@@ -367,11 +460,12 @@ def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent
     w_lo = max(w_lo, -1.0 + 2.0 * E_MARGIN)
     w_hi = min(w_hi, 1.0 - 2.0 * E_MARGIN)
     v_alive, v_dead = cand.v0_alive, cand.v0_dead
+    parity_j = 1.0 if cand.parity == "odd" else 0.0
     roots_alive = [e1, e2]
     while abs(v_dead - v_alive) > SSW_V0_TOL:
         v_mid = 0.5 * (v_alive + v_dead)
-        cfg_mid = PotentialConfig(v_mid, half_width_a, g_t)
-        roots = [e for e, p in _levels(cfg_mid, w_lo, w_hi) if p == cand.parity]
+        _, energies, j = _levels([PotentialConfig(v_mid, half_width_a, g_t)], w_lo, w_hi)
+        roots = energies[j % 2.0 == parity_j].tolist()
         if roots:
             v_alive = v_mid
             roots_alive = roots
@@ -397,22 +491,13 @@ def spectrum_sweep(
 ) -> SpectrumSweep:
     """Solve the spectrum at every grid strength and link the levels into
     fixed-parity branches; record continuum dives and (for vector-dominated
-    coupling) refine pairwise level deaths/births into coalescence events."""
-    grid = [float(v) for v in v0_grid]
-    if len(grid) < 2:
-        raise DomainError("v0_grid needs at least two points")
-    diffs = [b - a for a, b in zip(grid, grid[1:])]
-    if not (all(d > 0.0 for d in diffs) or all(d < 0.0 for d in diffs)):
-        raise DomainError("v0_grid must be strictly monotone")
-    solution_class = classify(g_t)
-    cfgs = [PotentialConfig(v0, half_width_a, g_t) for v0 in grid]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    coupling) refine pairwise level deaths/births into coalescence events.
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(find_bound_states, cfgs))  # ordered gather
-    else:
-        per_point = [find_bound_states(cfg) for cfg in cfgs]
+    All grid strengths are solved in one vectorised pass. ``threads`` is
+    accepted for compatibility and has no effect."""
+    grid = monotone_grid(v0_grid)
+    solution_class = classify(g_t)
+    per_point = _bound_states([PotentialConfig(v0, half_width_a, g_t) for v0 in grid])
 
     branches: list[Branch] = []
     alive: list[Branch] = []

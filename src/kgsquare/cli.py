@@ -324,7 +324,9 @@ def build_parser() -> _Parser:
     p_sweep_t.add_argument("--v0-min", type=float)
     p_sweep_t.add_argument("--v0-max", type=float)
     p_sweep_t.add_argument("--steps", type=int, help="number of grid intervals (N+1 records)")
-    p_sweep_t.add_argument("--threads", type=int, default=1)
+    p_sweep_t.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); has no effect"
+    )
 
     p_bound = sub.add_parser("bound", help="bound levels at one configuration")
     p_bound.add_argument("--preset", choices=sorted(BOUND_PRESETS), help="named parameter set")
@@ -347,7 +349,9 @@ def build_parser() -> _Parser:
     p_sweep_b.add_argument("--v0-min", type=float)
     p_sweep_b.add_argument("--v0-max", type=float)
     p_sweep_b.add_argument("--steps", type=int)
-    p_sweep_b.add_argument("--threads", type=int, default=1)
+    p_sweep_b.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); has no effect"
+    )
 
     p_res = sub.add_parser("resonances", help="full-transmission energies or strengths")
     p_res.add_argument("--gt", type=float)

@@ -133,6 +133,18 @@ def classify(g_t: float) -> SolutionClass:
     return SolutionClass.B
 
 
+def monotone_grid(v0_grid) -> list[float]:
+    """The strengths of a sweep grid as floats; the grid must have at least
+    two points and be strictly increasing or strictly decreasing."""
+    grid = [float(v) for v in v0_grid]
+    if len(grid) < 2:
+        raise DomainError("v0_grid needs at least two points")
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
+    if not (all(d > 0.0 for d in diffs) or all(d < 0.0 for d in diffs)):
+        raise DomainError("v0_grid must be strictly monotone")
+    return grid
+
+
 def exterior_wavenumber(energy_e: float) -> BranchWavenumber:
     """k = sqrt(E^2 - 1), evanescent (kappa) branch when |E| < 1."""
     return _branch(energy_e * energy_e - 1.0)

@@ -23,6 +23,7 @@ from .core import (
     PotentialConfig,
     classify,
     interior_q_squared,
+    monotone_grid,
 )
 from .tables import SweepTable
 
@@ -246,15 +247,11 @@ def sweep_transmission(
 ) -> SweepTable:
     """Transmission table over a strictly monotone grid of strengths.
 
-    Output rows follow the grid order regardless of ``threads``; every row
-    carries (v0, q2, T, R, regime, class).
+    Output rows follow the grid order; every row carries (v0, q2, T, R,
+    regime, class). ``threads`` is accepted for compatibility and has no
+    effect.
     """
-    grid = [float(v) for v in v0_grid]
-    if len(grid) < 2:
-        raise DomainError("v0_grid needs at least two points")
-    diffs = [b - a for a, b in zip(grid, grid[1:])]
-    if not (all(d > 0.0 for d in diffs) or all(d < 0.0 for d in diffs)):
-        raise DomainError("v0_grid must be strictly monotone")
+    grid = monotone_grid(v0_grid)
     cls = classify(g_t).value
 
     def one(v0: float) -> dict:
@@ -269,12 +266,6 @@ def sweep_transmission(
             "class": cls,
         }
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, grid))  # ordered gather: schedule-independent
-    else:
-        records = [one(v0) for v0 in grid]
+    records = [one(v0) for v0 in grid]
     params = {"energy": energy_e, "g_t": g_t, "half_width_a": half_width_a}
     return SweepTable(params, list(SWEEP_T_COLUMNS), records)

@@ -1,12 +1,14 @@
 """Bound-state spectra, quantization residuals, sweeps, and SSW coalescence."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgsquare import (
     DomainError,
+    NumericalError,
     PotentialConfig,
     antiparticle_crossover_energy,
     count_imaginary_q_solutions,
@@ -17,6 +19,9 @@ from kgsquare import (
     spectrum_sweep,
     z0_of,
 )
+from kgsquare import bound
+from kgsquare.cli import SWEEP_BOUND_PRESETS
+from kgsquare.core import E_MARGIN, interior_q_squared
 from kgsquare.oracle import OracleConfig, oracle_bound_states
 
 # Frozen regression anchors for the g_t=1, a=0.5 coalescence (well deepening
@@ -324,6 +329,69 @@ class TestSpectrumSweep:
     def test_rejects_non_monotone_grid(self):
         with pytest.raises(DomainError):
             spectrum_sweep(1.0, 0.5, [-1.0, -2.0, -1.5])
+
+
+# a fig5 configuration: g_t = 1, a = 0.5, V0 on the 801-point preset grid
+FIG5_CFG = PotentialConfig(float(np.linspace(-4.0, -0.01, 801)[600]), 0.5, 1.0)
+
+
+def _check(cfg, energies, odd):
+    """Run the vectorised level checks on the given (E, odd) levels of cfg."""
+    e = np.asarray(energies, dtype=float)
+    owner = np.zeros(e.size, dtype=int)
+    return bound._check_levels(owner, e, np.asarray(odd, dtype=bool), *bound._columns([cfg]))
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize(
+        "preset, steps",
+        [(p, None) for p in ("fig5", "fig6", "fig7", "fig8", "fig9")] + [("fig5", 3200)],
+    )
+    def test_sweep_states_equal_single_solves(self, preset, steps):
+        p = SWEEP_BOUND_PRESETS[preset]
+        grid = np.linspace(p["v0_min"], p["v0_max"], (steps or p["steps"]) + 1)
+        sweep = spectrum_sweep(p["gt"], p["half_width"], grid)
+        singles = {
+            v0: find_bound_states(PotentialConfig(v0, p["half_width"], p["gt"]))
+            for v0 in sweep.v0_grid
+        }
+        for branch in sweep.branches:
+            for v0, state in zip(branch.v0s, branch.states):
+                assert state == singles[v0][state.index_n - 1]
+        alive = Counter(v0 for branch in sweep.branches for v0 in branch.v0s)
+        assert [len(singles[v0]) for v0 in sweep.v0_grid] == [alive[v0] for v0 in sweep.v0_grid]
+
+    def test_segment_grid_is_linspace(self):
+        lo = np.array([0.0, 0.3, 2.5, 1e-3, 7.0])
+        hi = np.array([1.0, 7.9, 2.5 + 1e-12, 123.4, 7.0])
+        n = np.array([2, 17, 3, 1001, 4])
+        seg, z = bound._linspaces(lo, hi, n)
+        assert np.array_equal(seg, np.repeat(np.arange(lo.size), n))
+        expected = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(lo, hi, n)])
+        assert np.array_equal(z, expected)
+
+    @pytest.mark.parametrize("cfg", [FIG5_CFG, PotentialConfig(-1.5, 400.0, 0.0)])
+    def test_vectorised_checks_match_scalar_formulas(self, cfg):
+        _, e, j = bound._levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        z, z0 = _check(cfg, e, j % 2.0 == 1.0)
+        a = cfg.half_width_a
+        assert z.tolist() == [math.sqrt(interior_q_squared(x, cfg)) * a for x in e.tolist()]
+        assert z0.tolist() == [z0_of(x, cfg) for x in e.tolist()]
+
+    def test_vectorised_checks_still_armed(self, monkeypatch):
+        _, e, j = bound._levels([FIG5_CFG], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        odd = j % 2.0 == 1.0
+        with pytest.raises(NumericalError, match="quantization residual"):
+            _check(FIG5_CFG, e[:1] + 1e-6, odd[:1])
+        # q^2 = (E - V0)^2 - 1 < 0 at E = V0 + 0.5 for g_t = 1
+        with pytest.raises(NumericalError, match="non-propagating interior"):
+            _check(FIG5_CFG, [FIG5_CFG.v0 + 0.5], [False])
+        # the first failing level in level order is the one reported
+        with pytest.raises(NumericalError, match=f"at E={e[0] + 1e-6}$"):
+            _check(FIG5_CFG, [e[0] + 1e-6, FIG5_CFG.v0 + 0.5], [odd[0], False])
+        monkeypatch.setattr(bound, "DUALITY_TOL", 0.0)
+        with pytest.raises(NumericalError, match="pole-duality residual"):
+            _check(FIG5_CFG, e, odd)
 
 
 class TestAntiparticleCrossover:
