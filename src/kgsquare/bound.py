@@ -19,6 +19,15 @@ A spectrum sweep solves all its grid strengths in one vectorised pass: every
 branch of every configuration is one segment of a single flat phase grid,
 and the roots and their checks are computed for all segments at once.
 find_bound_states is that pass on a batch of one configuration.
+
+Every root has a phase key (s, j, orient): its branch, its label and the
+orientation +-1 of phi on its monotone cell. The key is constant along a
+level curve E(V0): a root never reaches z = 0, where phi = -pi/2, and phi'
+can vanish at a root only where the two roots (s, j, +1) and (s, j, -1) meet.
+A sweep therefore links levels across the grid by their keys. A key that
+vanishes alone has left through |E| = 1 (a continuum dive); the two keys of
+one (s, j) that vanish or appear together are a coalescence, whose strength
+is bisected while both roots exist.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -48,9 +58,6 @@ RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root
 DUALITY_TOL = 1e-8  # accepted |transmission denominator| at k -> i kappa
 SSW_V0_TOL = 1e-9  # width of the critical-strength bracket after refinement
 _GRID_PER_HALF_PI = 8  # phase-grid points per pi/2 of z on each branch
-_SSW_PAIR_WINDOW = 0.6  # max |delta E| for two deaths to count as one pair
-_SSW_EDGE = 0.95  # pair members must sit below this |E| (dives live near 1)
-_SHRINK_FACTOR = 0.2  # required pair-separation shrinkage for a true coalescence
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,13 +95,14 @@ class DisappearanceEvent:
 
 @dataclass(frozen=True, slots=True)
 class SswCandidate:
-    """Raw sweep evidence for a possible coalescence, before refinement."""
+    """Two levels of one (s, j) that vanish, or appear, together between two
+    adjacent grid strengths: a coalescence before its strength is refined."""
 
     parity: Parity
     v0_alive: float  # grid point where both levels were last seen
     v0_dead: float  # adjacent grid point where both were gone
-    pair: tuple[float, float]
-    other_roots: tuple[float, ...]
+    pair: tuple[float, float]  # energies of the two levels at v0_alive, ascending
+    key: tuple[float, float]  # interior branch s and label j of both roots
     branch_a: int
     branch_b: int
 
@@ -251,11 +259,12 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> tuple[np.ndarra
 
 def _levels(
     cfgs: list[PotentialConfig], e_lo: float, e_hi: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Every level with energy in [e_lo, e_hi] of every configuration, as the
-    arrays (owner, E, j): the index of the configuration in ``cfgs``, the
-    energy and the phase label (even j: even parity). Sorted by owner, then
-    by energy, then even before odd.
+    arrays (owner, E, j, s, orient): the index of the configuration in
+    ``cfgs``, the energy, the phase label (even j: even parity), the interior
+    branch s = +-1 and the orientation +-1 of phi on the level's monotone
+    cell. Sorted by owner, then by energy, then even before odd.
 
     All configurations are solved in one vectorised pass. Each interior branch
     s of each configuration is a segment of one flat z-grid, sampled at
@@ -278,7 +287,7 @@ def _levels(
     keep = w_hi > w_lo
     s_seg, own, w_lo, w_hi = s_seg[keep], own[keep], w_lo[keep], w_hi[keep]
     if not own.size:
-        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+        return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
     a_seg, m_seg = a[own], m[own]
     z_lo = a_seg * np.sqrt((w_lo - m_seg) * (w_lo + m_seg))
     z_hi = a_seg * np.sqrt((w_hi - m_seg) * (w_hi + m_seg))
@@ -329,7 +338,7 @@ def _levels(
     energies = _phase(root, *p_cell)[0]
     owner = own[seg[cell]]
     order = np.lexsort((j % 2.0, energies, owner))
-    return owner[order], energies[order], j[order]
+    return owner[order], energies[order], j[order], p_cell[0][order], orient[order]
 
 
 def _check_levels(
@@ -380,10 +389,13 @@ def _check_levels(
     return z, z0
 
 
-def _bound_states(cfgs: list[PotentialConfig]) -> list[list[BoundState]]:
+def _bound_states(
+    cfgs: list[PotentialConfig],
+) -> tuple[list[list[BoundState]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """find_bound_states of every configuration, solved and checked in one
-    vectorised pass."""
-    owner, e, j = _levels(cfgs, -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+    vectorised pass, and the phase keys (s, j, orient) of all levels as flat
+    arrays in the order of the concatenated state lists."""
+    owner, e, j, s, orient = _levels(cfgs, -1.0 + E_MARGIN, 1.0 - E_MARGIN)
     odd = j % 2.0 == 1.0
     z, z0 = _check_levels(owner, e, odd, *_columns(cfgs))
     states: list[list[BoundState]] = [[] for _ in cfgs]
@@ -391,14 +403,15 @@ def _bound_states(cfgs: list[PotentialConfig]) -> list[list[BoundState]]:
     for c, e_k, odd_k, z_k, z0_k in levels:
         out = states[c]
         out.append(BoundState(e_k, "odd" if odd_k else "even", len(out) + 1, z_k, z0_k))
-    return states
+    return states, (s, j, orient)
 
 
 def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     """All bound levels of the configuration, sorted by energy and indexed
     from 1; every root is checked against the quantization residual and the
     transmission-pole duality."""
-    return _bound_states([cfg])[0]
+    states, _ = _bound_states([cfg])
+    return states[0]
 
 
 def count_imaginary_q_solutions(cfg: PotentialConfig, n_scan: int = N_SCAN) -> int:
@@ -431,56 +444,60 @@ def antiparticle_crossover_energy(g_t: float) -> float:
     return -g_t / (1.0 - g_t)
 
 
-def _jump_limit(branch: Branch, dv0: float) -> float:
-    """Largest |delta E| a branch may take across one grid step."""
-    if len(branch.states) >= 2:
-        de = abs(branch.states[-1].energy_e - branch.states[-2].energy_e)
-        dv = abs(branch.v0s[-1] - branch.v0s[-2])
-        slope = de / dv if dv > 0.0 else 1.0
-    else:
-        slope = 1.0
-    return max(1e-3, 5.0 * dv0 * slope)
-
-
-def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent | None:
-    """Bisect the strength between the last two-root point and the first
-    zero-root point, counting same-parity roots in a window around the pair.
-    Returns None when the pair separation fails to shrink (not a coalescence).
-    """
-    e1, e2 = sorted(cand.pair)
-    sep0 = e2 - e1
-    pad = max(0.08, sep0)
-    w_lo = e1 - pad
-    w_hi = e2 + pad
-    for r in cand.other_roots:
-        if r <= e1:
-            w_lo = max(w_lo, 0.5 * (r + e1))
-        elif r >= e2:
-            w_hi = min(w_hi, 0.5 * (r + e2))
-    w_lo = max(w_lo, -1.0 + 2.0 * E_MARGIN)
-    w_hi = min(w_hi, 1.0 - 2.0 * E_MARGIN)
+def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent:
+    """Bisect the strength between the last point where both roots
+    (s, j, +1) and (s, j, -1) of the candidate exist and the first where they
+    do not, down to SSW_V0_TOL; the event energy is the midpoint of the pair
+    at the last strength where it was seen."""
+    s, j = cand.key
     v_alive, v_dead = cand.v0_alive, cand.v0_dead
-    parity_j = 1.0 if cand.parity == "odd" else 0.0
-    roots_alive = [e1, e2]
+    pair = cand.pair
     while abs(v_dead - v_alive) > SSW_V0_TOL:
         v_mid = 0.5 * (v_alive + v_dead)
-        _, energies, j = _levels([PotentialConfig(v_mid, half_width_a, g_t)], w_lo, w_hi)
-        roots = energies[j % 2.0 == parity_j].tolist()
-        if roots:
-            v_alive = v_mid
-            roots_alive = roots
+        cfg = PotentialConfig(v_mid, half_width_a, g_t)
+        _, e, j_k, s_k, orient = _levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        hit = (s_k == s) & (j_k == j)
+        if sorted(orient[hit].tolist()) == [-1.0, 1.0]:
+            v_alive, pair = v_mid, tuple(e[hit].tolist())
         else:
             v_dead = v_mid
-    sep_last = roots_alive[-1] - roots_alive[0]
-    if not sep_last < _SHRINK_FACTOR * sep0:
-        return None
     return SswEvent(
         v0_critical=0.5 * (v_alive + v_dead),
-        e_critical=0.5 * (roots_alive[0] + roots_alive[-1]),
+        e_critical=0.5 * (pair[0] + pair[1]),
         branch_a=cand.branch_a,
         branch_b=cand.branch_b,
         parity=cand.parity,
     )
+
+
+def _pair_up(
+    ends: dict[tuple[float, float, float], Branch], v_alive: float, v_dead: float
+) -> tuple[list[SswCandidate], list[Branch]]:
+    """Split branches that all end, or all begin, between the adjacent grid
+    strengths v_alive (where each branch's last state is) and v_dead. The two
+    roots (s, j, +1) and (s, j, -1) of one label on one interior branch are
+    created and destroyed together at a fold of phi, so such a pair is a
+    coalescence candidate. Returns the candidates and the unpaired branches,
+    both in ascending energy."""
+    candidates: list[SswCandidate] = []
+    unpaired: list[Branch] = []
+    for (s, j, orient), b in sorted(ends.items(), key=lambda kb: kb[1].states[-1].energy_e):
+        partner = ends.get((s, j, -orient))
+        if partner is None:
+            unpaired.append(b)
+        elif b.states[-1].energy_e < partner.states[-1].energy_e:
+            candidates.append(
+                SswCandidate(
+                    parity=b.parity,
+                    v0_alive=v_alive,
+                    v0_dead=v_dead,
+                    pair=(b.states[-1].energy_e, partner.states[-1].energy_e),
+                    key=(s, j),
+                    branch_a=b.branch_id,
+                    branch_b=partner.branch_id,
+                )
+            )
+    return candidates, unpaired
 
 
 def spectrum_sweep(
@@ -490,152 +507,58 @@ def spectrum_sweep(
     threads: int = 1,
 ) -> SpectrumSweep:
     """Solve the spectrum at every grid strength and link the levels into
-    fixed-parity branches; record continuum dives and (for vector-dominated
-    coupling) refine pairwise level deaths/births into coalescence events.
+    fixed-parity branches by their phase key (s, j, orient); record continuum
+    dives and refine pairwise level deaths/births into coalescence events.
 
     All grid strengths are solved in one vectorised pass. ``threads`` is
     accepted for compatibility and has no effect."""
     grid = monotone_grid(v0_grid)
-    solution_class = classify(g_t)
-    per_point = _bound_states([PotentialConfig(v0, half_width_a, g_t) for v0 in grid])
+    per_point, keys = _bound_states([PotentialConfig(v0, half_width_a, g_t) for v0 in grid])
+    level_keys = zip(*(k.tolist() for k in keys))
 
     branches: list[Branch] = []
-    alive: list[Branch] = []
+    alive: dict[tuple[float, float, float], Branch] = {}
     dives: list[DisappearanceEvent] = []
     candidates: list[SswCandidate] = []
-    next_id = 0
     for i, (v0, states) in enumerate(zip(grid, per_point)):
-        dv0 = abs(v0 - grid[i - 1]) if i > 0 else 0.0
-        survivors: list[Branch] = []
-        deaths: list[Branch] = []
-        births: list[BoundState] = []
-        for parity in ("even", "odd"):
-            sts = [s for s in states if s.parity == parity]
-            acts = [b for b in alive if b.parity == parity]
-            pairs: list[tuple[float, int, int]] = []
-            for bi, b in enumerate(acts):
-                limit = _jump_limit(b, dv0)
+        linked: dict[tuple[float, float, float], Branch] = {}
+        born: dict[tuple[float, float, float], Branch] = {}
+        for state, key in zip(states, islice(level_keys, len(states))):
+            if key in linked:
+                raise NumericalError(f"two levels share the phase key (s, j, orient)={key} at V0={v0}")
+            b = alive.get(key)
+            if b is None:  # states come in ascending energy, and so do new ids
+                b = born[key] = Branch(len(branches), state.parity, [], [])
+                branches.append(b)
+            b.v0s.append(v0)
+            b.states.append(state)
+            linked[key] = b
+        if i > 0:
+            ended = {k: b for k, b in alive.items() if k not in linked}
+            died, dove = _pair_up(ended, grid[i - 1], v0)
+            new_pairs, _ = _pair_up(born, v0, grid[i - 1])
+            candidates += died + new_pairs
+            for b in dove:
                 e_last = b.states[-1].energy_e
-                for si, s in enumerate(sts):
-                    de = abs(s.energy_e - e_last)
-                    if de <= limit:
-                        pairs.append((de, bi, si))
-            pairs.sort()
-            used_b: set[int] = set()
-            used_s: set[int] = set()
-            for _, bi, si in pairs:
-                if bi in used_b or si in used_s:
-                    continue
-                used_b.add(bi)
-                used_s.add(si)
-                acts[bi].v0s.append(v0)
-                acts[bi].states.append(sts[si])
-                survivors.append(acts[bi])
-            deaths.extend(b for bi, b in enumerate(acts) if bi not in used_b)
-            births.extend(s for si, s in enumerate(sts) if si not in used_s)
-
-        # deaths: branches last seen at grid[i-1]
-        deaths_by_parity: dict[str, list[Branch]] = {"even": [], "odd": []}
-        for b in deaths:
-            deaths_by_parity[b.parity].append(b)
-        for parity, group in deaths_by_parity.items():
-            group.sort(key=lambda b: b.states[-1].energy_e)
-            paired: set[int] = set()
-            if solution_class is SolutionClass.A and len(group) >= 2:
-                for j in range(len(group) - 1):
-                    if j in paired or j + 1 in paired:
-                        continue
-                    ea = group[j].states[-1].energy_e
-                    eb = group[j + 1].states[-1].energy_e
-                    if abs(eb - ea) < _SSW_PAIR_WINDOW and max(abs(ea), abs(eb)) < _SSW_EDGE:
-                        others = tuple(
-                            s.energy_e
-                            for s in per_point[i - 1]
-                            if s.parity == parity and s.energy_e not in (ea, eb)
-                        )
-                        candidates.append(
-                            SswCandidate(
-                                parity=parity,  # type: ignore[arg-type]
-                                v0_alive=grid[i - 1],
-                                v0_dead=v0,
-                                pair=(ea, eb),
-                                other_roots=others,
-                                branch_a=group[j].branch_id,
-                                branch_b=group[j + 1].branch_id,
-                            )
-                        )
-                        paired.update((j, j + 1))
-            for j, b in enumerate(group):
-                if j not in paired:
-                    e_last = b.states[-1].energy_e
-                    dives.append(
-                        DisappearanceEvent(
-                            v0=v0,
-                            branch_id=b.branch_id,
-                            continuum="upper" if e_last > 0.0 else "lower",
-                            last_energy=e_last,
-                        )
-                    )
-
-        # births: new branches, ids in ascending energy order
-        births.sort(key=lambda s: s.energy_e)
-        new_branches: list[Branch] = []
-        for s in births:
-            b = Branch(next_id, s.parity, [v0], [s])
-            next_id += 1
-            branches.append(b)
-            new_branches.append(b)
-        if i > 0 and solution_class is SolutionClass.A:
-            for parity in ("even", "odd"):
-                grp = [b for b in new_branches if b.parity == parity]
-                for j in range(len(grp) - 1):
-                    ea = grp[j].states[0].energy_e
-                    eb = grp[j + 1].states[0].energy_e
-                    if abs(eb - ea) < _SSW_PAIR_WINDOW and max(abs(ea), abs(eb)) < _SSW_EDGE:
-                        others = tuple(
-                            s.energy_e
-                            for s in states
-                            if s.parity == parity and s.energy_e not in (ea, eb)
-                        )
-                        candidates.append(
-                            SswCandidate(
-                                parity=parity,  # type: ignore[arg-type]
-                                v0_alive=v0,
-                                v0_dead=grid[i - 1],
-                                pair=(ea, eb),
-                                other_roots=others,
-                                branch_a=grp[j].branch_id,
-                                branch_b=grp[j + 1].branch_id,
-                            )
-                        )
-        alive = survivors + new_branches
+                dives.append(DisappearanceEvent(v0, b.branch_id, "upper" if e_last > 0.0 else "lower", e_last))
+        alive = linked
 
     for b in branches:
         shallow = 0 if abs(b.v0s[0]) <= abs(b.v0s[-1]) else -1
         b.label = "particle" if b.states[shallow].energy_e > 0.0 else "antiparticle"
 
-    ssw_events = []
-    for cand in candidates:
-        ev = _refine_ssw(g_t, half_width_a, cand)
-        if ev is not None:
-            ssw_events.append(ev)
     return SpectrumSweep(
         g_t=g_t,
         half_width_a=half_width_a,
         v0_grid=grid,
         branches=branches,
-        ssw_events=ssw_events,
+        ssw_events=[_refine_ssw(g_t, half_width_a, c) for c in candidates],
         disappearance_events=dives,
         ssw_candidates=candidates,
     )
 
 
 def detect_ssw(sweep: SpectrumSweep) -> list[tuple[float, float]]:
-    """Refine every coalescence candidate of a sweep down to a critical
-    strength bracket narrower than SSW_V0_TOL; returns (V0, E) pairs."""
-    out: list[tuple[float, float]] = []
-    for cand in sweep.ssw_candidates:
-        ev = _refine_ssw(sweep.g_t, sweep.half_width_a, cand)
-        if ev is not None:
-            out.append((ev.v0_critical, ev.e_critical))
-    return out
+    """The (V0, E) of every coalescence event of a sweep, each refined to a
+    critical-strength bracket narrower than SSW_V0_TOL."""
+    return [(ev.v0_critical, ev.e_critical) for ev in sweep.ssw_events]

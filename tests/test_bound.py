@@ -20,6 +20,7 @@ from kgsquare import (
     z0_of,
 )
 from kgsquare import bound
+from kgsquare.bound import SSW_V0_TOL
 from kgsquare.cli import SWEEP_BOUND_PRESETS
 from kgsquare.core import E_MARGIN, interior_q_squared
 from kgsquare.oracle import OracleConfig, oracle_bound_states
@@ -55,6 +56,32 @@ WIDE_WELL_COUNTS = {
     (-1.25, 400.0, 0.0): (248, 246),
     (-1.5, 400.0, 0.0): (222, 220),
 }
+
+
+# name -> (g_t, a, V0 min, grid sizes) of sweeps over [V0 min, -0.01]
+GRID_SWEEPS = {
+    "fig5": (1.0, 0.5, -4.0, (241, 801, 3201, 6401)),
+    "fig6": (0.75, 0.5, -4.0, (241, 801, 3201, 6401)),
+    "gt1-a0.5": (1.0, 0.5, -6.0, (241, 801, 3201, 6401)),
+    "gt0.75-a1": (0.75, 1.0, -8.0, (241, 801, 3201, 6401)),
+    "gt0.75-a2": (0.75, 2.0, -8.0, (801, 3201, 6401)),
+}
+
+
+def _residual_sign_changes(cfg: PotentialConfig, parity: str, e_lo: float, e_hi: float) -> int:
+    """Sign changes of the parity residual kappa cos(qa) - q sin(qa) (even)
+    or kappa sin(qa)/q + cos(qa) (odd) on 8001 energies in [e_lo, e_hi],
+    where the interior must be propagating."""
+    e = np.linspace(e_lo, e_hi, 8001)
+    d = e - cfg.g_t * cfg.v0
+    m = 1.0 + cfg.g_s * cfg.v0
+    q2 = (d - m) * (d + m)
+    assert (q2 > 0.0).all()
+    q = np.sqrt(q2)
+    kap = np.sqrt((1.0 - e) * (1.0 + e))
+    qa = q * cfg.half_width_a
+    f = kap * np.cos(qa) - q * np.sin(qa) if parity == "even" else kap * np.sin(qa) / q + np.cos(qa)
+    return int(np.count_nonzero(np.signbit(f[:-1]) != np.signbit(f[1:])))
 
 
 def _cfg_at_phase(energy_e: float, phase: float, a: float = 1.0) -> PotentialConfig:
@@ -276,12 +303,26 @@ class TestSpectrumSweep:
         assert event.e_critical == pytest.approx(SSW_E, abs=1e-6)
         assert abs(event.e_critical) < 1.0 - 1e-6
 
-    def test_ssw_independent_of_grid_resolution(self, fig5_sweep):
-        finer = spectrum_sweep(1.0, 0.5, np.linspace(-4.0, -0.01, 373))
-        assert len(finer.ssw_events) == 1
-        assert finer.ssw_events[0].v0_critical == pytest.approx(
-            fig5_sweep.ssw_events[0].v0_critical, abs=1e-8
-        )
+    @pytest.mark.parametrize("g_t, a, v0_min, sizes", list(GRID_SWEEPS.values()), ids=list(GRID_SWEEPS))
+    def test_ssw_independent_of_grid_resolution(self, g_t, a, v0_min, sizes):
+        # Branches, dives and coalescences are properties of the spectrum,
+        # not of the grid that samples it.
+        summaries = {}
+        for n in sizes:
+            sweep = spectrum_sweep(g_t, a, np.linspace(v0_min, -0.01, n))
+            events = sorted(sweep.ssw_events, key=lambda ev: ev.v0_critical)
+            summaries[n] = (
+                len(sweep.branches),
+                len(sweep.disappearance_events),
+                [ev.parity for ev in events],
+                [ev.v0_critical for ev in events],
+            )
+        branches, dives, parities, v0cs = summaries[801]
+        assert v0cs
+        for n, (b, d, p, v) in summaries.items():
+            assert (b, d, p) == (branches, dives, parities), n
+            for v0c, v0c_801 in zip(v, v0cs):
+                assert abs(v0c - v0c_801) <= SSW_V0_TOL, n
 
     def test_detect_ssw_matches_sweep(self, fig5_sweep):
         refined = detect_ssw(fig5_sweep)
@@ -298,11 +339,49 @@ class TestSpectrumSweep:
             for e_prev, e_next in zip(energies, energies[1:]):
                 assert abs(e_next - e_prev) < 0.25
 
-    def test_continuum_dives_classified(self, fig5_sweep):
-        assert fig5_sweep.disappearance_events
-        for dive in fig5_sweep.disappearance_events:
+    @pytest.mark.parametrize(
+        "preset, steps",
+        [(p, None) for p in ("fig5", "fig6", "fig7", "fig8", "fig9")] + [("fig5", 3200)],
+    )
+    def test_continuum_dives_classified(self, preset, steps):
+        p = SWEEP_BOUND_PRESETS[preset]
+        grid = np.linspace(p["v0_min"], p["v0_max"], (steps or p["steps"]) + 1)
+        sweep = spectrum_sweep(p["gt"], p["half_width"], grid)
+        assert sweep.disappearance_events
+        for dive in sweep.disappearance_events:
             assert dive.continuum in ("upper", "lower")
             assert abs(dive.last_energy) > 0.99
+
+    def test_coalescences_near_the_continuum_edge(self):
+        # Seven same-parity pairs of this well merge, some within 0.006 of
+        # |E| = 1. Each is checked by counting sign changes of the parity
+        # residual just above and just below the critical strength.
+        sweep = spectrum_sweep(0.75, 2.0, np.linspace(-8.0, -0.01, 801))
+        assert len(sweep.ssw_events) == 7
+        for ev in sweep.ssw_events:
+            counts = sorted(
+                _residual_sign_changes(
+                    PotentialConfig(ev.v0_critical + dv, 2.0, 0.75),
+                    ev.parity,
+                    ev.e_critical - 0.004,
+                    ev.e_critical + 0.004,
+                )
+                for dv in (-1e-6, 1e-6)
+            )
+            assert counts == [0, 2], ev
+
+    def test_levels_sharing_a_phase_key_raise(self, monkeypatch):
+        # The sweep links levels by (s, j, orient); a duplicate must not be
+        # merged silently into one branch.
+        levels = bound._levels
+
+        def first_root_twice(*args):
+            out = levels(*args)
+            return tuple(np.insert(x, 0, x[0]) for x in out)
+
+        monkeypatch.setattr(bound, "_levels", first_root_twice)
+        with pytest.raises(NumericalError, match="at V0=-4.0$"):
+            spectrum_sweep(1.0, 0.5, np.linspace(-4.0, -0.01, 41))
 
     def test_balanced_well_has_no_ssw_and_particle_branches(self):
         sweep = spectrum_sweep(0.5, 5.0, np.linspace(-4.0, -0.01, 201))
@@ -372,14 +451,14 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("cfg", [FIG5_CFG, PotentialConfig(-1.5, 400.0, 0.0)])
     def test_vectorised_checks_match_scalar_formulas(self, cfg):
-        _, e, j = bound._levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        _, e, j, _, _ = bound._levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
         z, z0 = _check(cfg, e, j % 2.0 == 1.0)
         a = cfg.half_width_a
         assert z.tolist() == [math.sqrt(interior_q_squared(x, cfg)) * a for x in e.tolist()]
         assert z0.tolist() == [z0_of(x, cfg) for x in e.tolist()]
 
     def test_vectorised_checks_still_armed(self, monkeypatch):
-        _, e, j = bound._levels([FIG5_CFG], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        _, e, j, _, _ = bound._levels([FIG5_CFG], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
         odd = j % 2.0 == 1.0
         with pytest.raises(NumericalError, match="quantization residual"):
             _check(FIG5_CFG, e[:1] + 1e-6, odd[:1])
