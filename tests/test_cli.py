@@ -71,6 +71,142 @@ class TestExitCodes:
         assert main(["bound", "--quantization-table", "--z0", "8.0", "--steps", "1"]) == 1
 
 
+SCATTER = ["scatter", "--energy", "1.1", "--v0", "3.0", "--gt", "1.0", "--half-width", "1.0"]
+SWEEP_T = [
+    "sweep-t", "--energy", "1.1", "--gt", "0.5", "--half-width", "1.0", "--v0-min", "0", "--v0-max", "5",
+]
+RESONANCES = ["resonances", "--gt", "1.0", "--half-width", "1.0"]
+
+
+class TestParamsEcho:
+    """The JSON `params` block echoes the inputs: these keys, in this order."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                SCATTER,
+                {"command": "scatter", "energy": 1.1, "v0": 3.0, "gt": 1.0, "half_width": 1.0,
+                 "with_amplitudes": False},
+            ),
+            (
+                SCATTER + ["--with-amplitudes"],
+                {"command": "scatter", "energy": 1.1, "v0": 3.0, "gt": 1.0, "half_width": 1.0,
+                 "with_amplitudes": True},
+            ),
+            (
+                ["sweep-t", "--preset", "fig1", "--steps", "20"],
+                {"command": "sweep-t", "preset": "fig1", "energy": 1.1, "gt": 1.0, "half_width": 1.0,
+                 "v0_min": 0.0, "v0_max": 10.0, "steps": 20},
+            ),
+            (
+                SWEEP_T + ["--steps", "20", "--threads", "2"],
+                {"command": "sweep-t", "preset": None, "energy": 1.1, "gt": 0.5, "half_width": 1.0,
+                 "v0_min": 0.0, "v0_max": 5.0, "steps": 20},
+            ),
+            (
+                ["bound", "--v0", "-1.0", "--gt", "1.0", "--half-width", "0.5"],
+                {"command": "bound", "v0": -1.0, "gt": 1.0, "half_width": 0.5},
+            ),
+            (
+                ["bound", "--preset", "fig4", "--steps", "10"],
+                {"command": "bound", "quantization_table": True, "z0": 8.0, "steps": 10},
+            ),
+            (
+                ["bound", "--gt", "0.5", "--quantization-table", "--z0", "3", "--steps", "10"],
+                {"command": "bound", "quantization_table": True, "z0": 3.0, "steps": 10},
+            ),
+            (
+                ["sweep-bound", "--preset", "fig9", "--steps", "60"],
+                {"command": "sweep-bound", "preset": "fig9", "gt": 0.0, "half_width": 5.0,
+                 "v0_min": -1.99, "v0_max": -0.01, "steps": 60},
+            ),
+            (
+                RESONANCES + ["--v0", "3.0", "--n-max", "3"],
+                {"command": "resonances", "mode": "energies", "energy": None, "v0": 3.0, "gt": 1.0,
+                 "half_width": 1.0, "n_max": 3},
+            ),
+            (
+                RESONANCES + ["--energy", "1.1", "--n-max", "1"],
+                {"command": "resonances", "mode": "depths", "energy": 1.1, "v0": None, "gt": 1.0,
+                 "half_width": 1.0, "n_max": 1},
+            ),
+        ],
+    )
+    def test_params_keys_order_and_values(self, capsys, argv, expected):
+        assert main(argv + ["--format", "json"]) == 0
+        params = json.loads(capsys.readouterr().out)["params"]
+        assert list(params.items()) == list(expected.items())
+
+
+class TestUsagePrecedence:
+    """Usage errors exit 1 with one message; the first failed check wins."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scatter", "--gt", "1.0", "--v0", "3.0"], "missing required arguments: --energy, --half-width"),
+            (["bound", "--v0", "-1"], "missing required arguments: --gt, --half-width"),
+            (
+                ["sweep-bound", "--gt", "1", "--steps", "1", "--threads", "0"],
+                "missing required arguments: --half-width, --v0-min, --v0-max",
+            ),
+            (
+                ["sweep-t", "--gt", "1", "--steps", "1", "--threads", "0"],
+                "missing required arguments: --energy, --half-width, --v0-min, --v0-max",
+            ),
+            (SWEEP_T + ["--steps", "1", "--threads", "0"], "--steps must be >= 2, got 1"),
+            (
+                ["sweep-bound", "--preset", "fig5", "--steps", "1", "--v0-min", "1"],
+                "--steps must be >= 2, got 1",
+            ),
+            (
+                ["sweep-t", "--preset", "fig1", "--v0-min", "20", "--threads", "0"],
+                "--v0-max must be greater than --v0-min",
+            ),
+            (
+                ["sweep-bound", "--preset", "fig5", "--v0-min", "0", "--threads", "0"],
+                "--v0-max must be greater than --v0-min",
+            ),
+            (["sweep-t", "--preset", "fig1", "--threads", "0"], "--threads must be >= 1, got 0"),
+            (["sweep-bound", "--preset", "fig5", "--threads", "0"], "--threads must be >= 1, got 0"),
+            (
+                ["resonances", "--v0", "3", "--n-max", "0"],
+                "missing required arguments: --gt, --half-width",
+            ),
+            (
+                RESONANCES + ["--n-max", "0"],
+                "provide exactly one of --v0 (energies mode) or --energy (depths mode)",
+            ),
+            (RESONANCES + ["--v0", "3", "--n-max", "0"], "--n-max must be >= 1, got 0"),
+            (
+                ["bound", "--quantization-table", "--steps", "1"],
+                "--z0 must be positive for --quantization-table",
+            ),
+            (
+                ["bound", "--quantization-table", "--z0", "8"],
+                "--steps must be >= 2 for --quantization-table",
+            ),
+        ],
+    )
+    def test_first_failed_check_is_reported(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"kgsquare: error: {message}\n"
+
+
+class TestHelp:
+    """argparse formats help strings only for --help, so each one is rendered here."""
+
+    @pytest.mark.parametrize(
+        "command", [[], ["scatter"], ["sweep-t"], ["bound"], ["sweep-bound"], ["resonances"]]
+    )
+    def test_help_exits_zero(self, capsys, command):
+        assert main(command + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith(" ".join(["usage: kgsquare", *command]))
+
+
 class TestScatter:
     def test_free_potential_transmits_fully(self, capsys):
         code = main(
