@@ -414,12 +414,12 @@ def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     return states[0]
 
 
-def count_imaginary_q_solutions(cfg: PotentialConfig, n_scan: int = N_SCAN) -> int:
+def count_imaginary_q_solutions(cfg: PotentialConfig) -> int:
     """Sign changes of the evanescent-interior matching residuals on the
     q^2 < 0 part of the bound window. Both parity residuals reduce to sums of
     strictly positive terms there, so the count is always zero; this scan
     verifies it numerically."""
-    e = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, n_scan)
+    e = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
     vt = cfg.g_t * cfg.v0
     vs = cfg.g_s * cfg.v0
     q2 = (e - vt) ** 2 - (1.0 + vs) ** 2

@@ -80,10 +80,13 @@ def _apply_preset(args: argparse.Namespace, presets: dict[str, dict]) -> None:
             setattr(args, key, value)
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> None:
+def _params(args: argparse.Namespace, command: str, names: list[str], **extra: Any) -> dict[str, Any]:
+    """The echoed inputs: ``command``, then ``extra`` (e.g. the preset), then
+    ``names`` in order. A name whose value is None is a missing argument."""
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"missing required arguments: {', '.join(missing)}")
+    return {"command": command, **extra, **{n: getattr(args, n) for n in names}}
 
 
 def _grid(args: argparse.Namespace) -> np.ndarray:
@@ -91,17 +94,13 @@ def _grid(args: argparse.Namespace) -> np.ndarray:
         raise _UsageError(f"--steps must be >= 2, got {args.steps}")
     if not args.v0_max > args.v0_min:
         raise _UsageError("--v0-max must be greater than --v0-min")
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     return np.linspace(args.v0_min, args.v0_max, args.steps + 1)
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
-
-
 def cmd_scatter(args: argparse.Namespace) -> SweepTable:
-    _require(args, ["energy", "v0", "gt", "half_width"])
+    params = _params(args, "scatter", ["energy", "v0", "gt", "half_width", "with_amplitudes"])
     cfg = PotentialConfig(args.v0, args.half_width, args.gt)
     sol = scatter.amplitudes(args.energy, cfg)
     record: dict[str, Any] = {
@@ -111,7 +110,6 @@ def cmd_scatter(args: argparse.Namespace) -> SweepTable:
         "regime": scatter.transmission_regime(args.energy, cfg),
         "class": classify(args.gt).value,
     }
-    columns = ["R", "T", "q2", "regime", "class"]
     if args.with_amplitudes:
         for name, value in (
             ("a_minus", sol.ratio_a_minus),
@@ -121,34 +119,15 @@ def cmd_scatter(args: argparse.Namespace) -> SweepTable:
         ):
             record[f"{name}_re"] = value.real
             record[f"{name}_im"] = value.imag
-            columns.extend([f"{name}_re", f"{name}_im"])
-    params = {
-        "command": "scatter",
-        "energy": args.energy,
-        "v0": args.v0,
-        "gt": args.gt,
-        "half_width": args.half_width,
-        "with_amplitudes": bool(args.with_amplitudes),
-    }
-    return SweepTable(params, columns, [record])
+    return SweepTable(params, list(record), [record])
 
 
 def cmd_sweep_t(args: argparse.Namespace) -> SweepTable:
     _apply_preset(args, SWEEP_T_PRESETS)
-    _require(args, ["energy", "gt", "half_width", "v0_min", "v0_max", "steps"])
-    table = scatter.sweep_transmission(
-        args.energy, args.gt, args.half_width, _grid(args), threads=_threads(args)
-    )
-    table.params = {
-        "command": "sweep-t",
-        "preset": args.preset,
-        "energy": args.energy,
-        "gt": args.gt,
-        "half_width": args.half_width,
-        "v0_min": args.v0_min,
-        "v0_max": args.v0_max,
-        "steps": args.steps,
-    }
+    names = ["energy", "gt", "half_width", "v0_min", "v0_max", "steps"]
+    params = _params(args, "sweep-t", names, preset=args.preset)
+    table = scatter.sweep_transmission(args.energy, args.gt, args.half_width, _grid(args))
+    table.params = params
     return table
 
 
@@ -156,7 +135,7 @@ def cmd_bound(args: argparse.Namespace) -> SweepTable:
     _apply_preset(args, BOUND_PRESETS)
     if args.quantization_table:
         return _quantization_table(args)
-    _require(args, ["v0", "gt", "half_width"])
+    params = _params(args, "bound", ["v0", "gt", "half_width"])
     cfg = PotentialConfig(args.v0, args.half_width, args.gt)
     records = [
         {
@@ -169,12 +148,6 @@ def cmd_bound(args: argparse.Namespace) -> SweepTable:
         }
         for s in bound.find_bound_states(cfg)
     ]
-    params = {
-        "command": "bound",
-        "v0": args.v0,
-        "gt": args.gt,
-        "half_width": args.half_width,
-    }
     return SweepTable(params, ["index", "E", "parity", "z", "z0", "pole_residual"], records)
 
 
@@ -185,7 +158,7 @@ def _quantization_table(args: argparse.Namespace) -> SweepTable:
         raise _UsageError("--z0 must be positive for --quantization-table")
     if args.steps is None or args.steps < 2:
         raise _UsageError("--steps must be >= 2 for --quantization-table")
-    z0 = float(args.z0)
+    z0 = args.z0
     records = []
     for i in range(1, args.steps + 1):
         z = z0 * i / args.steps
@@ -200,69 +173,42 @@ def _quantization_table(args: argparse.Namespace) -> SweepTable:
                 "neg_cot_z": -1.0 / tan_z,
             }
         )
-    params = {"command": "bound", "quantization_table": True, "z0": z0, "steps": args.steps}
+    params = _params(args, "bound", ["quantization_table", "z0", "steps"])
     return SweepTable(params, ["z", "kappa_over_q", "tan_z", "neg_cot_z"], records)
 
 
 def cmd_sweep_bound(args: argparse.Namespace) -> SweepTable:
     _apply_preset(args, SWEEP_BOUND_PRESETS)
-    _require(args, ["gt", "half_width", "v0_min", "v0_max", "steps"])
-    sweep = bound.spectrum_sweep(args.gt, args.half_width, _grid(args), threads=_threads(args))
-    point_rows: list[tuple[float, int, dict[str, Any]]] = []
-    for b in sweep.branches:
-        for v0, s in zip(b.v0s, b.states):
-            point_rows.append(
-                (v0, b.branch_id, {"v0": v0, "branch_id": b.branch_id, "E": s.energy_e, "parity": s.parity})
-            )
+    names = ["gt", "half_width", "v0_min", "v0_max", "steps"]
+    params = _params(args, "sweep-bound", names, preset=args.preset)
+    sweep = bound.spectrum_sweep(args.gt, args.half_width, _grid(args))
     order = {v0: i for i, v0 in enumerate(sweep.v0_grid)}
-    point_rows.sort(key=lambda row: (order[row[0]], row[1]))
-    events: list[dict[str, Any]] = []
-    for ev in sweep.ssw_events:
-        events.append(
-            {
-                "event": "ssw-coalescence",
-                "parity": ev.parity,
-                "v0": ev.v0_critical,
-                "energy": ev.e_critical,
-                "branch_a": ev.branch_a,
-                "branch_b": ev.branch_b,
-                "continuum": "",
-            }
-        )
-    parity_of = {b.branch_id: b.parity for b in sweep.branches}
-    for dv in sweep.disappearance_events:
-        events.append(
-            {
-                "event": "continuum-dive",
-                "parity": parity_of[dv.branch_id],
-                "v0": dv.v0,
-                "energy": dv.last_energy,
-                "branch_a": dv.branch_id,
-                "branch_b": "",
-                "continuum": dv.continuum,
-            }
-        )
-    events.sort(key=lambda e: (e["v0"], str(e["event"]), str(e["branch_a"])))
-    params = {
-        "command": "sweep-bound",
-        "preset": args.preset,
-        "gt": args.gt,
-        "half_width": args.half_width,
-        "v0_min": args.v0_min,
-        "v0_max": args.v0_max,
-        "steps": args.steps,
-    }
-    return SweepTable(
-        params,
-        ["v0", "branch_id", "E", "parity"],
-        [row[2] for row in point_rows],
-        EVENT_COLUMNS,
-        events,
+    records = sorted(
+        (
+            {"v0": v0, "branch_id": b.branch_id, "E": s.energy_e, "parity": s.parity}
+            for b in sweep.branches
+            for v0, s in zip(b.v0s, b.states)
+        ),
+        key=lambda row: (order[row["v0"]], row["branch_id"]),
     )
+    parity_of = {b.branch_id: b.parity for b in sweep.branches}
+    rows = [
+        ("ssw-coalescence", ev.parity, ev.v0_critical, ev.e_critical, ev.branch_a, ev.branch_b, "")
+        for ev in sweep.ssw_events
+    ] + [
+        ("continuum-dive", parity_of[dv.branch_id], dv.v0, dv.last_energy, dv.branch_id, "", dv.continuum)
+        for dv in sweep.disappearance_events
+    ]
+    events = [dict(zip(EVENT_COLUMNS, row)) for row in rows]
+    events.sort(key=lambda e: (e["v0"], e["event"], str(e["branch_a"])))
+    return SweepTable(params, ["v0", "branch_id", "E", "parity"], records, EVENT_COLUMNS, events)
 
 
 def cmd_resonances(args: argparse.Namespace) -> SweepTable:
-    _require(args, ["gt", "half_width"])
+    mode, key = ("energies", "energy") if args.v0 is not None else ("depths", "v0")
+    params = _params(
+        args, "resonances", ["gt", "half_width", "n_max"], mode=mode, energy=args.energy, v0=args.v0
+    )
     if (args.v0 is None) == (args.energy is None):
         raise _UsageError("provide exactly one of --v0 (energies mode) or --energy (depths mode)")
     if args.n_max < 1:
@@ -272,26 +218,22 @@ def cmd_resonances(args: argparse.Namespace) -> SweepTable:
         cfg = PotentialConfig(args.v0, args.half_width, args.gt)
         for n, energy in scatter.resonance_energies(cfg, args.n_max):
             _, t = scatter.coefficients(energy, cfg)
-            records.append({"n": n, "energy": energy, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
-        columns = ["n", "energy", "t_is_one"]
-        mode = "energies"
+            records.append({"n": n, key: energy, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
     else:
         for n in range(1, args.n_max + 1):
             for v0 in scatter.resonant_v0_for_energy(args.energy, args.gt, args.half_width, n):
                 _, t = scatter.coefficients(args.energy, PotentialConfig(v0, args.half_width, args.gt))
-                records.append({"n": n, "v0": v0, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
-        columns = ["n", "v0", "t_is_one"]
-        mode = "depths"
-    params = {
-        "command": "resonances",
-        "mode": mode,
-        "energy": args.energy,
-        "v0": args.v0,
-        "gt": args.gt,
-        "half_width": args.half_width,
-        "n_max": args.n_max,
-    }
-    return SweepTable(params, columns, records)
+                records.append({"n": n, key: v0, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
+    return SweepTable(params, ["n", key, "t_is_one"], records)
+
+
+def _add_sweep(sub: Any, name: str, summary: str, presets: dict[str, dict], *leading: str) -> None:
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--preset", choices=sorted(presets), help="named parameter set")
+    for option in (*leading, "--gt", "--half-width", "--v0-min", "--v0-max"):
+        p.add_argument(option, type=float)
+    p.add_argument("--steps", type=int, help="number of grid intervals (N+1 V0 points)")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility (>= 1); has no effect")
 
 
 def build_parser() -> _Parser:
@@ -316,17 +258,7 @@ def build_parser() -> _Parser:
     p_scatter.add_argument("--half-width", type=float, help="half-width a > 0")
     p_scatter.add_argument("--with-amplitudes", action="store_true", help="include amplitude ratios (re, im)")
 
-    p_sweep_t = sub.add_parser("sweep-t", help="transmission sweep over V0")
-    p_sweep_t.add_argument("--preset", choices=sorted(SWEEP_T_PRESETS), help="named parameter set")
-    p_sweep_t.add_argument("--energy", type=float)
-    p_sweep_t.add_argument("--gt", type=float)
-    p_sweep_t.add_argument("--half-width", type=float)
-    p_sweep_t.add_argument("--v0-min", type=float)
-    p_sweep_t.add_argument("--v0-max", type=float)
-    p_sweep_t.add_argument("--steps", type=int, help="number of grid intervals (N+1 records)")
-    p_sweep_t.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); has no effect"
-    )
+    _add_sweep(sub, "sweep-t", "transmission sweep over V0", SWEEP_T_PRESETS, "--energy")
 
     p_bound = sub.add_parser("bound", help="bound levels at one configuration")
     p_bound.add_argument("--preset", choices=sorted(BOUND_PRESETS), help="named parameter set")
@@ -342,16 +274,7 @@ def build_parser() -> _Parser:
     p_bound.add_argument("--z0", type=float, help="circle radius for --quantization-table")
     p_bound.add_argument("--steps", type=int, help="rows for --quantization-table")
 
-    p_sweep_b = sub.add_parser("sweep-bound", help="bound spectrum sweep over V0")
-    p_sweep_b.add_argument("--preset", choices=sorted(SWEEP_BOUND_PRESETS), help="named parameter set")
-    p_sweep_b.add_argument("--gt", type=float)
-    p_sweep_b.add_argument("--half-width", type=float)
-    p_sweep_b.add_argument("--v0-min", type=float)
-    p_sweep_b.add_argument("--v0-max", type=float)
-    p_sweep_b.add_argument("--steps", type=int)
-    p_sweep_b.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility (>= 1); has no effect"
-    )
+    _add_sweep(sub, "sweep-bound", "bound spectrum sweep over V0", SWEEP_BOUND_PRESETS)
 
     p_res = sub.add_parser("resonances", help="full-transmission energies or strengths")
     p_res.add_argument("--gt", type=float)
@@ -360,7 +283,7 @@ def build_parser() -> _Parser:
     p_res.add_argument("--energy", type=float, help="depths mode: resonant V0 at this energy")
     p_res.add_argument("--n-max", type=int, default=5)
 
-    for p in (p_scatter, p_sweep_t, p_bound, p_sweep_b, p_res):
+    for p in sub.choices.values():
         p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 

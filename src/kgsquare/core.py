@@ -17,9 +17,10 @@ from typing import Literal
 
 # Half-width of the band around g_t = 1/2 treated as exactly balanced.
 CLASS_EPSILON = 1e-12
-# Bound-state energy scans, shared by the quantization solver and the oracle.
+# Bound-state energy window, shared by the phase solver and the oracle.
 E_MARGIN = 1e-9  # scans stay this far inside the open window (-1, 1)
-N_SCAN = 8192  # energy samples for the full-window scan
+# Energy samples of the oracle's full-window scan and of count_imaginary_q_solutions.
+N_SCAN = 8192
 
 Region = Literal["exterior", "interior"]
 Direction = Literal["plus", "minus"]

@@ -22,16 +22,11 @@ def format_number(value: float) -> str:
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_number(value)
-    if isinstance(value, int):
-        return str(value)
-    text = str(value)
-    if any(ch in text for ch in (",", "\n", '"')):
-        raise ValueError(f"cell value not representable in plain CSV: {text!r}")
-    return text
+    if not isinstance(value, str):
+        return _json_scalar(value)
+    if any(ch in value for ch in (",", "\n", '"')):
+        raise ValueError(f"cell value not representable in plain CSV: {value!r}")
+    return value
 
 
 def _parse_cell(text: str) -> Any:

@@ -63,6 +63,11 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_csv("a,b\n1\n")
 
+    def test_cells_of_every_emitted_type(self):
+        record = {"b": True, "f": -0.0, "i": 7, "x": False, "s": "lower"}
+        table = SweepTable({}, list(record), [record])
+        assert table.to_csv() == "b,f,i,x,s\ntrue,0,7,false,lower\n"
+
     def test_rejects_cells_that_would_corrupt_csv(self):
         table = SweepTable({}, ["a"], [{"a": "x,y"}])
         with pytest.raises(ValueError):
