@@ -48,6 +48,40 @@ GOLDEN_LEVELS = {
     ],
 }
 
+# (g_t, a, V0) -> oracle_bound_states at 4000 steps, bit for bit as the
+# run-length propagator computes them; GOLDEN_LEVELS above agrees only to
+# about 1e-11.
+PINNED_LEVELS = {
+    (1.0, 0.5, -2.5): [(0.9593371785796356, "odd")],
+    (0.75, 0.5, -2.5): [(-0.9012023566852354, "even"), (-0.6635168190924077, "even")],
+    (0.5, 5.0, -3.5): [
+        (-0.9809054311494844, "even"),
+        (-0.8608541044820289, "odd"),
+        (-0.6674297647391241, "even"),
+        (-0.43397409059295233, "odd"),
+        (-0.17894476986905714, "even"),
+        (0.08793350595260035, "odd"),
+        (0.36097914536660847, "even"),
+        (0.6357618721210945, "odd"),
+        (0.9045973198487682, "even"),
+    ],
+    (0.25, 5.0, -2.5): [
+        (0.2880827998756203, "even"),
+        (0.3951848053835492, "odd"),
+        (0.5542343730915239, "even"),
+        (0.7457318605678744, "odd"),
+        (0.946343821627885, "even"),
+    ],
+    (0.0, 5.0, -1.5): [
+        (-0.89168909347295, "even"),
+        (-0.7099900191269232, "odd"),
+        (-0.5610454916166674, "even"),
+        (0.5610454916166674, "even"),
+        (0.7099900191269234, "odd"),
+        (0.8916890934729502, "even"),
+    ],
+}
+
 # Deep enough that the integrated solution overflows.
 OVERFLOW = PotentialConfig(-1e6, 5.0, 0.5)
 
@@ -152,6 +186,11 @@ class TestOracleBoundStates:
         assert [p for _, p in levels] == [p for _, p in golden]
         for (e, _), (e_golden, _) in zip(levels, golden):
             assert e == pytest.approx(e_golden, abs=1e-10)
+
+    @pytest.mark.parametrize("params", sorted(PINNED_LEVELS))
+    def test_pinned_levels(self, params):
+        g_t, a, v0 = params
+        assert oracle_bound_states(PotentialConfig(v0, a, g_t), GOLDEN) == PINNED_LEVELS[params]
 
     def test_overflow_raises(self):
         # The exception alone reports the failure: no numpy warning before it.
