@@ -154,6 +154,9 @@ def cmd_bound(args: argparse.Namespace) -> SweepTable:
 def _quantization_table(args: argparse.Namespace) -> SweepTable:
     """Table of the graphical quantization construction at fixed z0: the
     circle arc kappa/q = sqrt((z0/z)^2 - 1) against tan z and -cot z."""
+    given = [f"--{n.replace('_', '-')}" for n in ("v0", "gt", "half_width") if getattr(args, n) is not None]
+    if given:
+        raise _UsageError(f"{', '.join(given)} not allowed with --quantization-table")
     if args.z0 is None or not args.z0 > 0.0:
         raise _UsageError("--z0 must be positive for --quantization-table")
     if args.steps is None or args.steps < 2:
@@ -213,17 +216,17 @@ def cmd_resonances(args: argparse.Namespace) -> SweepTable:
         raise _UsageError("provide exactly one of --v0 (energies mode) or --energy (depths mode)")
     if args.n_max < 1:
         raise _UsageError(f"--n-max must be >= 1, got {args.n_max}")
-    records = []
     if args.v0 is not None:
         cfg = PotentialConfig(args.v0, args.half_width, args.gt)
-        for n, energy in scatter.resonance_energies(cfg, args.n_max):
-            _, t = scatter.coefficients(energy, cfg)
-            records.append({"n": n, key: energy, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
+        roots = scatter.resonance_energies(cfg, args.n_max)
     else:
-        for n in range(1, args.n_max + 1):
-            for v0 in scatter.resonant_v0_for_energy(args.energy, args.gt, args.half_width, n):
-                _, t = scatter.coefficients(args.energy, PotentialConfig(v0, args.half_width, args.gt))
-                records.append({"n": n, key: v0, "t_is_one": abs(t - 1.0) <= scatter.RESONANCE_TOL})
+        roots = [
+            (n, v0)
+            for n in range(1, args.n_max + 1)
+            for v0 in scatter.resonant_v0_for_energy(args.energy, args.gt, args.half_width, n)
+        ]
+    # Both solvers raise unless |T - 1| <= RESONANCE_TOL at every root they return.
+    records = [{"n": n, key: root, "t_is_one": True} for n, root in roots]
     return SweepTable(params, ["n", key, "t_is_one"], records)
 
 

@@ -1,17 +1,16 @@
 """Brute-force verifiers built on direct integration of the stationary wave
-equation phi'' = -q^2(x) phi, where q^2(x) = (E - V_t(x))^2 - (1 + V_s(x))^2.
+equation phi'' = -q^2 phi.
 
-These solvers see the potential only through its pointwise values; they never
-reuse the closed-form interior solution, so they provide an independent check
-of the matched-amplitude results. Interface nodes at x = +-a take the
-interior value of the potential (closed-interval convention), which keeps the
-fixed-step integration free of half-jump boundary errors.
+Both integrators run only across the closed well |x| <= a: the transmission
+from x = +a to x = -a, the shooting from x = 0 to x = a. There the potential
+is V0, so the RK4 coefficient is the constant -q^2(V0), with
+q^2 = (E - g_t V0)^2 - (1 + g_s V0)^2 from the oracle's own formula. These
+solvers never reuse the closed-form interior solution, so they provide an
+independent check of the matched-amplitude results.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .core import E_MARGIN, N_SCAN, DomainError, NumericalError, Parity, Potenti
 
 _BISECT_TOL = 1e-10  # bound-energy bracket width
 _K_SECTION = 64  # interior points per bracket in each refinement pass
-_NODE_CHUNK = 1 << 16  # node-potential values evaluated at once
 
 
 class OracleFailure(NumericalError):
@@ -37,13 +35,10 @@ class OracleConfig:
     """
 
     step_count: int = 20000
-    tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.step_count < 1000:
             raise DomainError(f"step_count must be >= 1000, got {self.step_count}")
-        if not self.tolerance > 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tolerance}")
 
 
 def _q2_at(v: np.ndarray, energy_e: np.ndarray, g_t: np.ndarray) -> np.ndarray:
@@ -51,59 +46,28 @@ def _q2_at(v: np.ndarray, energy_e: np.ndarray, g_t: np.ndarray) -> np.ndarray:
     return (energy_e - g_t * v) ** 2 - (1.0 + (1.0 - g_t) * v) ** 2
 
 
-def _node_coefficients(
-    position: Callable[[np.ndarray], np.ndarray],
-    n_nodes: int,
-    energy_e: np.ndarray,
-    v0: np.ndarray,
-    g_t: np.ndarray,
-    a: np.ndarray,
-) -> tuple[list[np.ndarray], list[int]]:
-    """RK4 coefficients -q^2 at the nodes 0..n_nodes-1, which sit at
-    ``position(j)``, from pointwise potential values.
-
-    Returns one coefficient array per distinct node potential and the index
-    of that array for every node. The potential is evaluated in chunks of
-    nodes, so no array spans all nodes and all energies.
-    """
-    table: dict[bytes, int] = {}
-    node: list[int] = []
-    chunk = max(1, _NODE_CHUNK // max(1, np.size(a)))
-    for start in range(0, n_nodes, chunk):
-        j = np.arange(start, min(start + chunk, n_nodes))
-        v = np.where(np.abs(position(j)) <= a, v0, 0.0)
-        for row in v.reshape(len(j), -1):
-            node.append(table.setdefault(row.tobytes(), len(table)))
-    coeff = [-_q2_at(np.frombuffer(key), energy_e, g_t) for key in table]
-    return coeff, node
-
-
 def _rk4(
     phi: np.ndarray,
     dphi: np.ndarray,
     h: np.ndarray | float,
-    coeff: list[np.ndarray],
-    node: list[int],
+    c: np.ndarray,
+    steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 for phi'' = c(x) phi, elementwise over the arrays.
-
-    Step t runs from node 2t over the midpoint node 2t+1 to node 2t+2, and
-    ``coeff[node[j]]`` is c at node j.
-    """
+    """``steps`` fixed RK4 steps of size h for phi'' = c phi, elementwise over
+    the arrays."""
     half = 0.5 * h
     sixth = h / 6.0
-    for t in range(0, len(node) - 1, 2):
-        c0, cm, c1 = coeff[node[t]], coeff[node[t + 1]], coeff[node[t + 2]]
-        k1d = c0 * phi
+    for _ in range(steps):
+        k1d = c * phi
         p2 = phi + half * dphi
         d2 = dphi + half * k1d
-        k2d = cm * p2
+        k2d = c * p2
         p3 = phi + half * d2
         d3 = dphi + half * k2d
-        k3d = cm * p3
+        k3d = c * p3
         p4 = phi + h * d3
         d4 = dphi + h * k3d
-        k4d = c1 * p4
+        k4d = c * p4
         phi = phi + sixth * (dphi + 2.0 * d2 + 2.0 * d3 + d4)
         dphi = dphi + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     return phi, dphi
@@ -116,28 +80,25 @@ def _matmul(m1: tuple[np.ndarray, ...], m2: tuple[np.ndarray, ...]) -> tuple[np.
     return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
 
-def _propagator(h: float, coeff: list[np.ndarray], node: list[int]) -> tuple[np.ndarray, ...]:
-    """The RK4 steps over the nodes as one matrix (a, b, c, d), elementwise:
-    (phi, phi') at the last node is [[a, b], [c, d]] (phi, phi') at the first.
+def _propagator(h: float, c: np.ndarray, steps: int) -> tuple[np.ndarray, ...]:
+    """``steps`` RK4 steps as one matrix (a, b, c, d), elementwise: (phi, phi')
+    after them is [[a, b], [c, d]] (phi, phi') before.
 
-    RK4 on a linear equation maps (phi, phi') linearly, and consecutive steps
-    with the same node coefficients apply the same map. So each run of such
-    steps is one RK4 step from the unit data (1, 0) and (0, 1), raised to the
-    run length by repeated squaring.
+    RK4 on a linear equation with a constant coefficient applies the same
+    linear map at every step. So the steps are one RK4 step from the unit
+    data (1, 0) and (0, 1), raised to ``steps`` by repeated squaring.
     """
-    one, zero = np.ones_like(coeff[0]), np.zeros_like(coeff[0])
+    one, zero = np.ones_like(c), np.zeros_like(c)
     total = (one, zero, zero, one)
-    triples = [tuple(node[t : t + 3]) for t in range(0, len(node) - 1, 2)]
-    for triple, run in itertools.groupby(triples):
-        a, c = _rk4(one, zero, h, coeff, list(triple))
-        b, d = _rk4(zero, one, h, coeff, list(triple))
-        step, length = (a, b, c, d), sum(1 for _ in run)
-        while length:
-            if length & 1:
-                total = _matmul(step, total)
-            length >>= 1
-            if length:
-                step = _matmul(step, step)
+    a, c21 = _rk4(one, zero, h, c, 1)
+    b, d = _rk4(zero, one, h, c, 1)
+    step = (a, b, c21, d)
+    while steps:
+        if steps & 1:
+            total = _matmul(step, total)
+        steps >>= 1
+        if steps:
+            step = _matmul(step, step)
     return total
 
 
@@ -151,32 +112,21 @@ def _transmission_batch(
     """Vectorized backward RK4 from a pure transmitted wave at x = +a down to
     x = -a; returns (R, T) per sample."""
     n = step_count
-
-    def position(j: np.ndarray) -> np.ndarray:
-        # Node j sits at a(n - j)/n, with the two boundary nodes pinned to
-        # exactly +-a: rounding in a*n/n can land 1 ulp outside the well,
-        # where the node would wrongly see the exterior potential and degrade
-        # the scheme to first order.
-        x = a * (n - j)[:, None] / n
-        x[j == 0] = a
-        x[j == 2 * n] = -a
-        return x
-
-    coeff, node = _node_coefficients(position, 2 * n + 1, energy_e, v0, g_t, a)
+    c = -_q2_at(v0, energy_e, g_t)
     k = np.sqrt(energy_e * energy_e - 1.0)
     # Overflow surfaces as the OracleFailure below, not as numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
         phi = np.exp(1j * k * a)
-        phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, coeff, node)
+        phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, c, n)
         # Project onto incoming/reflected plane waves at x = -a.
         exp_ika = np.exp(1j * k * a)
         a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika
         a_minus = 0.5 * (phi - dphi / (1j * k)) / exp_ika
-    if not (np.all(np.isfinite(a_plus)) and np.all(np.isfinite(a_minus))):
-        raise OracleFailure("transmission integration produced non-finite amplitudes")
-    r = np.abs(a_minus / a_plus) ** 2
-    t_coeff = 1.0 / np.abs(a_plus) ** 2
+        r = np.abs(a_minus / a_plus) ** 2
+        t_coeff = 1.0 / np.abs(a_plus) ** 2
+    if not all(np.all(np.isfinite(x)) for x in (a_plus, a_minus, r, t_coeff)):
+        raise OracleFailure("transmission integration produced non-finite amplitudes or (R, T)")
     return r, t_coeff
 
 
@@ -202,20 +152,11 @@ def _shoot_mismatch(energy_e: np.ndarray, cfg: PotentialConfig, step_count: int)
     """Integrate from the center to x = a and return the decaying-tail
     mismatch M(E) = phi'(a) + kappa phi(a) as two rows: even initial data
     (phi, phi') = (1, 0), then odd (0, 1)."""
-    a = cfg.half_width_a
-    m = max(step_count // 2, 500)  # steps on [0, a], matching the [-a, a] step size
-
-    def position(j: np.ndarray) -> np.ndarray:
-        # Node j sits at a j/(2m); the same endpoint pinning as the
-        # transmission integrator, since a*m/m can round 1 ulp outside the well.
-        x = a * j / (2 * m)
-        x[j == 2 * m] = a
-        return x
-
-    v0, g_t, av = (np.asarray(x, dtype=float) for x in (cfg.v0, cfg.g_t, a))
-    coeff, node = _node_coefficients(position, 2 * m + 1, energy_e, v0, g_t, av)
+    m = step_count // 2  # steps on [0, a], matching the [-a, a] step size
+    v0, g_t = (np.asarray(x, dtype=float) for x in (cfg.v0, cfg.g_t))
+    c = -_q2_at(v0, energy_e, g_t)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as OracleFailure below
-        phi_even, phi_odd, dphi_even, dphi_odd = _propagator(a / m, coeff, node)
+        phi_even, phi_odd, dphi_even, dphi_odd = _propagator(cfg.half_width_a / m, c, m)
     phi, dphi = np.stack([phi_even, phi_odd]), np.stack([dphi_even, dphi_odd])
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dphi))):
         raise OracleFailure("shooting integration produced non-finite values")
@@ -231,10 +172,10 @@ def oracle_bound_states(
 
     One evaluation of the RK4 transfer matrix from x = 0 to x = a gives the
     mismatch of both parities on N_SCAN energies in
-    (-1 + E_MARGIN, 1 - E_MARGIN). Each sign change is a bracket. Every pass then evaluates _K_SECTION interior points
-    of all brackets at once and keeps the first sub-interval with a sign
-    change, until every bracket is no wider than _BISECT_TOL. A level is the
-    midpoint of its bracket.
+    (-1 + E_MARGIN, 1 - E_MARGIN). Each sign change is a bracket. Every pass
+    then evaluates _K_SECTION interior points of all brackets at once and
+    keeps the first sub-interval with a sign change, until every bracket is no
+    wider than _BISECT_TOL. A level is the midpoint of its bracket.
     """
     e_grid = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
     mm = _shoot_mismatch(e_grid, cfg, ocfg.step_count)

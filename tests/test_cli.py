@@ -113,7 +113,7 @@ class TestParamsEcho:
                 {"command": "bound", "quantization_table": True, "z0": 8.0, "steps": 10},
             ),
             (
-                ["bound", "--gt", "0.5", "--quantization-table", "--z0", "3", "--steps", "10"],
+                ["bound", "--quantization-table", "--z0", "3", "--steps", "10"],
                 {"command": "bound", "quantization_table": True, "z0": 3.0, "steps": 10},
             ),
             (
@@ -186,6 +186,10 @@ class TestUsagePrecedence:
             (
                 ["bound", "--quantization-table", "--z0", "8"],
                 "--steps must be >= 2 for --quantization-table",
+            ),
+            (
+                ["bound", "--gt", "0.5", "--v0", "-1.5", "--quantization-table", "--steps", "1"],
+                "--v0, --gt not allowed with --quantization-table",
             ),
         ],
     )

@@ -14,10 +14,12 @@ from kgsquare import (
     oracle_bound_states,
     oracle_transmission,
 )
-from kgsquare.oracle import _node_coefficients, _propagator, _rk4, _transmission_batch
+from kgsquare.oracle import _propagator, _q2_at, _rk4, _transmission_batch
 
 FAST = OracleConfig(step_count=2000)
 GOLDEN = OracleConfig(step_count=4000)
+# Accuracy the oracle is held to at FAST and GOLDEN steps.
+TOLERANCE = 1e-8
 
 # (E, V0, a, g_t) -> (R, T) of oracle_transmission at 4000 steps, recorded
 # from the per-step reference integrator. One propagating (q^2 > 0) and one
@@ -48,9 +50,8 @@ GOLDEN_LEVELS = {
     ],
 }
 
-# (g_t, a, V0) -> oracle_bound_states at 4000 steps, bit for bit as the
-# run-length propagator computes them; GOLDEN_LEVELS above agrees only to
-# about 1e-11.
+# (g_t, a, V0) -> oracle_bound_states at 4000 steps, exact to the bit;
+# GOLDEN_LEVELS above agrees only to about 1e-11.
 PINNED_LEVELS = {
     (1.0, 0.5, -2.5): [(0.9593371785796356, "odd")],
     (0.75, 0.5, -2.5): [(-0.9012023566852354, "even"), (-0.6635168190924077, "even")],
@@ -90,22 +91,17 @@ class TestOracleConfig:
     def test_defaults(self):
         ocfg = OracleConfig()
         assert ocfg.step_count == 20000
-        assert ocfg.tolerance == 1e-8
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(DomainError):
             OracleConfig(step_count=999)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            OracleConfig(tolerance=0.0)
-
 
 class TestOracleTransmission:
     def test_free_particle(self):
         r, t = oracle_transmission(1.25, PotentialConfig(0.0, 1.0, 1.0), FAST)
-        assert t == pytest.approx(1.0, abs=FAST.tolerance)
-        assert r == pytest.approx(0.0, abs=FAST.tolerance)
+        assert t == pytest.approx(1.0, abs=TOLERANCE)
+        assert r == pytest.approx(0.0, abs=TOLERANCE)
 
     def test_requires_propagating_incidence(self):
         with pytest.raises(DomainError):
@@ -128,10 +124,9 @@ class TestOracleTransmission:
     def test_step_halving_converges(self):
         # Halving the step changes T by far less than the stated tolerance.
         cfg = PotentialConfig(3.0, 1.0, 1.0)
-        ocfg = OracleConfig(step_count=4000, tolerance=1e-8)
-        _, t_coarse = oracle_transmission(1.1, cfg, ocfg)
+        _, t_coarse = oracle_transmission(1.1, cfg, OracleConfig(step_count=4000))
         _, t_fine = oracle_transmission(1.1, cfg, OracleConfig(step_count=8000))
-        assert abs(t_fine - t_coarse) < ocfg.tolerance / 10.0
+        assert abs(t_fine - t_coarse) < TOLERANCE / 10.0
 
     def test_matches_closed_form_barrier(self):
         from kgsquare import coefficients
@@ -160,6 +155,23 @@ class TestOracleTransmission:
         with warnings.catch_warnings(), pytest.raises(OracleFailure):
             warnings.simplefilter("error")
             oracle_transmission(1.5, OVERFLOW, OracleConfig(step_count=1000))
+
+    def test_infinite_coefficients_raise(self):
+        # The amplitudes stay finite but |a_minus/a_plus|^2 overflows: that is
+        # a failure, not (R, T) = (inf, inf). The closed form gives T = 0.230.
+        cfg = PotentialConfig(-4.225890301934019, 400.0, 0.987777576672508)
+        with warnings.catch_warnings(), pytest.raises(OracleFailure):
+            warnings.simplefilter("error")
+            oracle_transmission(1.5995663395273003, cfg, OracleConfig(step_count=1850))
+
+    def test_overflowing_square_gives_zero_transmission(self):
+        # |a_plus|^2 overflows, so T is exactly 0, as in the closed form, and
+        # no numpy warning escapes.
+        cfg = PotentialConfig(0.5559611692072339, 400.0, 0.8796511733349222)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, t = oracle_transmission(1.1285224531806508, cfg, OracleConfig(step_count=2085))
+        assert np.isfinite(r) and t == 0.0
 
 
 class TestOracleBoundStates:
@@ -206,23 +218,13 @@ class TestPropagator:
     )
     def test_matches_step_loop(self, cfg):
         # Repeated squaring regroups the rounding of 1000 steps, about 1e3 ulp
-        # in all; 1e-10 (about 5e5 ulp) leaves a wide margin. The nodes run
-        # past the well edge, so the steps form three runs: inside,
-        # straddling the edge, outside.
-        m, a = 1000, cfg.half_width_a
+        # in all; 1e-10 (about 5e5 ulp) leaves a wide margin.
+        m = 1000
         energy = np.linspace(-0.99, 0.99, 101)
-        coeff, node = _node_coefficients(
-            lambda j: 1.5 * a * j / (2 * m),
-            2 * m + 1,
-            energy,
-            np.asarray(cfg.v0),
-            np.asarray(cfg.g_t),
-            np.asarray(a),
-        )
-        assert len(set(node)) == 2
-        h = 1.5 * a / m
-        a11, a12, a21, a22 = _propagator(h, coeff, node)
+        c = -_q2_at(np.asarray(cfg.v0), energy, np.asarray(cfg.g_t))
+        h = cfg.half_width_a / m
+        a11, a12, a21, a22 = _propagator(h, c, m)
         one, zero = np.ones_like(energy), np.zeros_like(energy)
         for start, columns in (((one, zero), (a11, a21)), ((zero, one), (a12, a22))):
-            for got, want in zip(columns, _rk4(*start, h, coeff, node)):
+            for got, want in zip(columns, _rk4(*start, h, c, m)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
