@@ -33,6 +33,23 @@ GOLDEN_TRANSMISSION = {
     (1.5, 2.0, 1.0, 0.25): (0.9997400044823297, 0.00025999551767182317),
 }
 
+# (E, V0, a, g_t, steps) -> (R, T) of oracle_transmission, exact to the bit,
+# in wide wells and at step counts the goldens above miss: classes A, B, C,
+# each with a propagating and an evanescent interior. At 1850 and 2085 steps
+# across a = 400 the step is too coarse for R + T = 1; those entries pin the
+# arithmetic, not the physics.
+PINNED_TRANSMISSION = {
+    (1.5, 0.2, 50.0, 0.75, 1000): (6.915282896250452e-05, 0.9999360261606991),
+    (1.5, 0.6, 50.0, 0.75, 20000): (1.0000000000000013, 3.701556310432934e-41),
+    (1.2, -0.5, 400.0, 0.9, 2085): (0.32243757196357203, 1.1609112890272684),
+    (1.5, -1.0, 400.0, 0.5, 20000): (0.045475763524491744, 0.9545814666917962),
+    (1.1, 0.3, 50.0, 0.5, 2085): (0.9999999999999998, 1.8193213508565606e-56),
+    (1.3, -2.0, 400.0, 0.25, 1850): (0.3670690587951656, 41.45618084739288),
+    (1.05, 0.1, 50.0, 0.25, 1000): (0.9999999999999998, 2.860868903063696e-28),
+    (1.2, -0.5, 50.0, 0.0, 1850): (0.13535060979217137, 0.8646503236796736),
+    (1.4, 0.8, 50.0, 0.0, 20000): (0.9999999999999993, 2.1061132971041407e-98),
+}
+
 # (g_t, a, V0) -> oracle_bound_states at 4000 steps, recorded from the
 # per-parity bisection reference.
 GOLDEN_LEVELS = {
@@ -149,6 +166,13 @@ class TestOracleTransmission:
         energy, v0, a, g_t = (np.array(col) for col in zip(*inputs))
         r, t = _transmission_batch(energy, v0, g_t, a, GOLDEN.step_count)
         assert list(zip(r.tolist(), t.tolist())) == [GOLDEN_TRANSMISSION[i] for i in inputs]
+
+    @pytest.mark.parametrize("inputs", sorted(PINNED_TRANSMISSION))
+    def test_pinned_transmission(self, inputs):
+        energy, v0, a, g_t, steps = inputs
+        assert oracle_transmission(
+            energy, PotentialConfig(v0, a, g_t), OracleConfig(step_count=steps)
+        ) == PINNED_TRANSMISSION[inputs]
 
     def test_overflow_raises(self):
         # The exception alone reports the failure: no numpy warning before it.
