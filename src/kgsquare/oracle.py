@@ -110,7 +110,9 @@ def _transmission_batch(
     step_count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized backward RK4 from a pure transmitted wave at x = +a down to
-    x = -a; returns (R, T) per sample."""
+    x = -a; returns (R, T) per sample. A single sample steps on Python scalars,
+    with the same rounding as the array path: a step then costs about 1 µs
+    rather than 30 numpy calls on 1-element arrays (about 30 µs)."""
     n = step_count
     c = -_q2_at(v0, energy_e, g_t)
     k = np.sqrt(energy_e * energy_e - 1.0)
@@ -118,7 +120,13 @@ def _transmission_batch(
     with np.errstate(all="ignore"):
         # Start from phi = e^{ikx} at x = +a (unit transmitted amplitude).
         phi = np.exp(1j * k * a)
-        phi, dphi = _rk4(phi, 1j * k * phi, -2.0 * a / n, c, n)
+        start = (phi, 1j * k * phi, -2.0 * a / n, c)
+        if phi.size == 1:
+            # CPython 3.10-3.13 promotes a float x to complex(x, 0.0) and
+            # multiplies by (ar*br - ai*bi, ar*bi + ai*br), as numpy does after
+            # casting a float array, so each step rounds alike.
+            start = tuple(x.item() for x in start)
+        phi, dphi = np.atleast_1d(*_rk4(*start, n))
         # Project onto incoming/reflected plane waves at x = -a.
         exp_ika = np.exp(1j * k * a)
         a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika

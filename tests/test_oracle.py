@@ -167,6 +167,23 @@ class TestOracleTransmission:
         r, t = _transmission_batch(energy, v0, g_t, a, GOLDEN.step_count)
         assert list(zip(r.tolist(), t.tolist())) == [GOLDEN_TRANSMISSION[i] for i in inputs]
 
+    @pytest.mark.parametrize("steps", [1000, 2085, 3000])
+    def test_single_sample_matches_batch_row(self, steps):
+        # A single sample steps on Python scalars, a batch on arrays; both
+        # must round alike, to the bit, and warn about nothing.
+        rng = np.random.default_rng(20261018 + steps)
+        energy, v0, g_t = rng.uniform(1.0, 3.0, 32), rng.uniform(-5.0, 5.0, 32), rng.uniform(0.0, 1.0, 32)
+        a = np.exp(rng.uniform(np.log(0.2), np.log(20.0), 32))
+        ocfg = OracleConfig(step_count=steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, t = _transmission_batch(energy, v0, g_t, a, steps)
+            single = [
+                oracle_transmission(float(e), PotentialConfig(float(v), float(w), float(g)), ocfg)
+                for e, v, w, g in zip(energy, v0, a, g_t)
+            ]
+        assert single == list(zip(r.tolist(), t.tolist()))
+
     @pytest.mark.parametrize("inputs", sorted(PINNED_TRANSMISSION))
     def test_pinned_transmission(self, inputs):
         energy, v0, a, g_t, steps = inputs
