@@ -409,6 +409,32 @@ class TestSpectrumSweep:
         with pytest.raises(DomainError):
             spectrum_sweep(1.0, 0.5, [-1.0, -2.0, -1.5])
 
+    @pytest.mark.parametrize(
+        "g_t, a, grid, message",
+        [
+            (1.5, 0.5, [-2.0, -1.0], "g_t must lie in [0, 1], got 1.5"),
+            (math.nan, 0.5, [-2.0, -1.0], "g_t must lie in [0, 1], got nan"),
+            (0.5, 0.0, [-2.0, -1.0], "half_width_a must be positive, got 0.0"),
+            (0.5, math.inf, [-2.0, -1.0], "half_width_a must be positive, got inf"),
+            (0.5, 1.0, [-2.0, -1.0, math.inf], "v0 must be finite, got inf"),
+            (0.5, 1.0, [-math.inf, -2.0, -1.0], "v0 must be finite, got -inf"),
+            # the half-width check comes first
+            (1.5, 0.0, [-math.inf, -1.0], "half_width_a must be positive, got 0.0"),
+        ],
+        ids=["gt-above-1", "gt-nan", "a-zero", "a-inf", "v0-last-inf", "v0-first-inf", "precedence"],
+    )
+    def test_rejects_invalid_well_or_strength(self, g_t, a, grid, message):
+        with pytest.raises(DomainError) as err:
+            spectrum_sweep(g_t, a, grid)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("g_t, a", [(0.3, 5.0), (0.9, 0.5)])
+    def test_numpy_scalar_coupling_solves_as_its_float(self, g_t, a):
+        # numpy 2 keeps float32 arithmetic for float32 scalars, so the sweep
+        # must solve with the float value of g_t; (0.9, 0.5) has a coalescence
+        grid = np.linspace(-4.0, -0.01, 201)
+        assert spectrum_sweep(np.float32(g_t), a, grid) == spectrum_sweep(float(np.float32(g_t)), a, grid)
+
 
 # a fig5 configuration: g_t = 1, a = 0.5, V0 on the 801-point preset grid
 FIG5_CFG = PotentialConfig(float(np.linspace(-4.0, -0.01, 801)[600]), 0.5, 1.0)
