@@ -16,9 +16,9 @@ whose zeros coincide with the poles of the transmission amplitude continued
 to k = i kappa.
 
 A spectrum sweep solves all its grid strengths in one vectorised pass: every
-branch of every configuration is one segment of a single flat phase grid,
-and the roots and their checks are computed for all segments at once.
-find_bound_states is that pass on a batch of one configuration.
+branch at every strength of the one well is a segment of a single flat phase
+grid, and the roots and their checks are computed for all segments at once.
+find_bound_states is that pass on a single strength.
 
 Every root has a phase key (s, j, orient): its branch, its label and the
 orientation +-1 of phi on its monotone cell. The key is constant along a
@@ -187,14 +187,14 @@ def pole_residual(energy_e: float, cfg: PotentialConfig) -> float:
 def _phase(
     z: np.ndarray,
     s: np.ndarray,
-    a: np.ndarray,
+    a: float,
     vt: np.ndarray,
     m: np.ndarray,
     critical: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Energy E, phase phi, dphi/dz and kappa dphi/dz at the phases z on the
-    branches s, for wells of half-width a, vector part vt = g_t V0 and mass
-    term m = 1 + g_s V0 (all per element), and with ``critical`` the
+    branches s, for the well of half-width a, with vector part vt = g_t V0 and
+    mass term m = 1 + g_s V0 per element, and with ``critical`` the
     z-derivative of kappa dphi/dz. That product has the zeros of phi' but
     stays finite at the window edges."""
     q = z / a
@@ -236,15 +236,6 @@ def _newton(fun: Callable, lo: np.ndarray, hi: np.ndarray, z: np.ndarray) -> np.
     return z
 
 
-def _columns(cfgs: list[PotentialConfig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V0, a and g_t of the configurations as arrays."""
-    return (
-        np.array([c.v0 for c in cfgs]),
-        np.array([c.half_width_a for c in cfgs]),
-        np.array([c.g_t for c in cfgs]),
-    )
-
-
 def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linspace(lo[i], hi[i], n[i]) for every i, bit for bit, concatenated,
     with the index i of every point: k * ((hi - lo) / (n - 1)) + lo for
@@ -257,30 +248,29 @@ def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> tuple[np.ndarra
     return seg, z
 
 
-def _levels(
-    cfgs: list[PotentialConfig], e_lo: float, e_hi: float
-) -> tuple[np.ndarray, ...]:
-    """Every level with energy in [e_lo, e_hi] of every configuration, as the
-    arrays (owner, E, j, s, orient): the index of the configuration in
-    ``cfgs``, the energy, the phase label (even j: even parity), the interior
-    branch s = +-1 and the orientation +-1 of phi on the level's monotone
-    cell. Sorted by owner, then by energy, then even before odd.
+def _levels(v0: np.ndarray, a: float, g_t: float) -> tuple[np.ndarray, ...]:
+    """Every level in the bound window [-1 + E_MARGIN, 1 - E_MARGIN] of the
+    well of half-width a and vector fraction g_t at each strength v0[i], as
+    the arrays (owner, E, j, s, orient): the index i of the strength, the
+    energy, the phase label (even j: even parity), the interior branch
+    s = +-1 and the orientation +-1 of phi on the level's monotone cell.
+    Sorted by owner, then by energy, then even before odd.
 
-    All configurations are solved in one vectorised pass. Each interior branch
-    s of each configuration is a segment of one flat z-grid, sampled at
+    All strengths are solved in one vectorised pass. Each interior branch s
+    at each strength is a segment of one flat z-grid, sampled at
     _GRID_PER_HALF_PI points per pi/2 of z exactly as np.linspace would.
     Sign changes of phi' within a segment are refined to the critical points
     of phi, which cut the segment into cells on which phi is monotone. Every
     j pi/2 in the range of a cell is then exactly one root, refined by Newton.
-    Every element is refined on its own, so a configuration's levels do not
-    depend on the others in the batch.
+    Every element is refined on its own, so the levels at one strength do not
+    depend on the other strengths in the batch.
     """
-    v0, a, g_t = _columns(cfgs)
     vt = g_t * v0
     m = np.abs(1.0 + (1.0 - g_t) * v0)
-    # segments: configuration-major, branch s = +1 before s = -1
-    s_seg = np.tile([1.0, -1.0], len(cfgs))
-    own = np.repeat(np.arange(len(cfgs)), 2)
+    # segments: strength-major, branch s = +1 before s = -1
+    s_seg = np.tile([1.0, -1.0], v0.size)
+    own = np.repeat(np.arange(v0.size), 2)
+    e_lo, e_hi = -1.0 + E_MARGIN, 1.0 - E_MARGIN
     w_a, w_b = s_seg * (e_lo - vt[own]), s_seg * (e_hi - vt[own])
     w_lo = np.maximum(np.minimum(w_a, w_b), m[own])
     w_hi = np.maximum(w_a, w_b)
@@ -288,15 +278,14 @@ def _levels(
     s_seg, own, w_lo, w_hi = s_seg[keep], own[keep], w_lo[keep], w_hi[keep]
     if not own.size:
         return np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
-    a_seg, m_seg = a[own], m[own]
-    z_lo = a_seg * np.sqrt((w_lo - m_seg) * (w_lo + m_seg))
-    z_hi = a_seg * np.sqrt((w_hi - m_seg) * (w_hi + m_seg))
+    vt_seg, m_seg = vt[own], m[own]
+    z_lo = a * np.sqrt((w_lo - m_seg) * (w_lo + m_seg))
+    z_hi = a * np.sqrt((w_hi - m_seg) * (w_hi + m_seg))
     n = 2 + ((z_hi - z_lo) * _GRID_PER_HALF_PI / (0.5 * math.pi)).astype(int)
     seg, z = _linspaces(z_lo, z_hi, n)
-    params = (s_seg, a_seg, vt[own], m_seg)
 
     def at(cells: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(p[cells] for p in params)
+        return s_seg[cells], a, vt_seg[cells], m_seg[cells]
 
     _, phi, _, slope = _phase(z, *at(seg))
     rising = slope > 0.0
@@ -342,19 +331,15 @@ def _levels(
 
 
 def _check_levels(
-    owner: np.ndarray,
-    e: np.ndarray,
-    odd: np.ndarray,
-    v0: np.ndarray,
-    a: np.ndarray,
-    g_t: np.ndarray,
+    owner: np.ndarray, e: np.ndarray, odd: np.ndarray, v0: np.ndarray, a: float, g_t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-level root checks, for all levels at once: a propagating
     interior, the quantization residual, the transmission-pole duality and
     z < z0, with the formulas of interior_q_squared, quantization_residual,
-    pole_residual and z0_of. Raises at the first level that fails, in level
+    pole_residual and z0_of. Level k lies in the well (a, g_t) at the
+    strength v0[owner[k]]. Raises at the first level that fails, in level
     order, with the error of the first check it fails. Returns (z, z0)."""
-    v0, a, g_t = v0[owner], a[owner], g_t[owner]
+    v0 = v0[owner]
     vt = g_t * v0
     # float_power is libm pow, as Python's ** is: q^2 keeps the scalar's last bit
     q2 = np.float_power(e - vt, 2.0) - np.float_power(1.0 + (1.0 - g_t) * v0, 2.0)
@@ -390,15 +375,15 @@ def _check_levels(
 
 
 def _bound_states(
-    cfgs: list[PotentialConfig],
+    v0: np.ndarray, a: float, g_t: float
 ) -> tuple[list[list[BoundState]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """find_bound_states of every configuration, solved and checked in one
-    vectorised pass, and the phase keys (s, j, orient) of all levels as flat
-    arrays in the order of the concatenated state lists."""
-    owner, e, j, s, orient = _levels(cfgs, -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+    """find_bound_states of the well (a, g_t) at every strength of v0, solved
+    and checked in one vectorised pass, and the phase keys (s, j, orient) of
+    all levels as flat arrays in the order of the concatenated state lists."""
+    owner, e, j, s, orient = _levels(v0, a, g_t)
     odd = j % 2.0 == 1.0
-    z, z0 = _check_levels(owner, e, odd, *_columns(cfgs))
-    states: list[list[BoundState]] = [[] for _ in cfgs]
+    z, z0 = _check_levels(owner, e, odd, v0, a, g_t)
+    states: list[list[BoundState]] = [[] for _ in range(v0.size)]
     levels = zip(owner.tolist(), e.tolist(), odd.tolist(), z.tolist(), z0.tolist())
     for c, e_k, odd_k, z_k, z0_k in levels:
         out = states[c]
@@ -410,7 +395,7 @@ def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     """All bound levels of the configuration, sorted by energy and indexed
     from 1; every root is checked against the quantization residual and the
     transmission-pole duality."""
-    states, _ = _bound_states([cfg])
+    states, _ = _bound_states(np.array([cfg.v0]), cfg.half_width_a, cfg.g_t)
     return states[0]
 
 
@@ -420,9 +405,7 @@ def count_imaginary_q_solutions(cfg: PotentialConfig) -> int:
     strictly positive terms there, so the count is always zero; this scan
     verifies it numerically."""
     e = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
-    vt = cfg.g_t * cfg.v0
-    vs = cfg.g_s * cfg.v0
-    q2 = (e - vt) ** 2 - (1.0 + vs) ** 2
+    q2 = interior_q_squared(e, cfg)
     mask = q2 < 0.0
     if not mask.any():
         return 0
@@ -454,8 +437,7 @@ def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent
     pair = cand.pair
     while abs(v_dead - v_alive) > SSW_V0_TOL:
         v_mid = 0.5 * (v_alive + v_dead)
-        cfg = PotentialConfig(v_mid, half_width_a, g_t)
-        _, e, j_k, s_k, orient = _levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        _, e, j_k, s_k, orient = _levels(np.array([v_mid]), half_width_a, g_t)
         hit = (s_k == s) & (j_k == j)
         if sorted(orient[hit].tolist()) == [-1.0, 1.0]:
             v_alive, pair = v_mid, tuple(e[hit].tolist())
@@ -513,7 +495,10 @@ def spectrum_sweep(
     All grid strengths are solved in one vectorised pass. ``threads`` is
     accepted for compatibility and has no effect."""
     grid = monotone_grid(v0_grid)
-    per_point, keys = _bound_states([PotentialConfig(v0, half_width_a, g_t) for v0 in grid])
+    # a strictly monotone grid can be non-finite only at its ends
+    well = PotentialConfig(grid[0], half_width_a, g_t)
+    PotentialConfig(grid[-1], half_width_a, g_t)
+    per_point, keys = _bound_states(np.array(grid), well.half_width_a, well.g_t)
     level_keys = zip(*(k.tolist() for k in keys))
 
     branches: list[Branch] = []
@@ -552,7 +537,7 @@ def spectrum_sweep(
         half_width_a=half_width_a,
         v0_grid=grid,
         branches=branches,
-        ssw_events=[_refine_ssw(g_t, half_width_a, c) for c in candidates],
+        ssw_events=[_refine_ssw(well.g_t, well.half_width_a, c) for c in candidates],
         disappearance_events=dives,
         ssw_candidates=candidates,
     )

@@ -203,7 +203,7 @@ def cmd_sweep_bound(args: argparse.Namespace) -> SweepTable:
         for dv in sweep.disappearance_events
     ]
     events = [dict(zip(EVENT_COLUMNS, row)) for row in rows]
-    events.sort(key=lambda e: (e["v0"], e["event"], str(e["branch_a"])))
+    events.sort(key=lambda e: (e["v0"], e["event"], e["branch_a"]))
     return SweepTable(params, ["v0", "branch_id", "E", "parity"], records, EVENT_COLUMNS, events)
 
 

@@ -177,10 +177,8 @@ def critical_potentials(energy_e: float, g_t: float) -> tuple[float, float | Non
     V1 = E - 1 always; V2 = (E + 1)/(2 g_t - 1) exists only off the balanced
     coupling (g_t != 1/2), where the q^2-vs-V0 parabola has a second root.
     """
-    if not (math.isfinite(g_t) and 0.0 <= g_t <= 1.0):
-        raise DomainError(f"g_t must lie in [0, 1], got {g_t}")
     v1 = energy_e - 1.0
-    if abs(g_t - 0.5) <= CLASS_EPSILON:
+    if classify(g_t) is SolutionClass.B:
         return v1, None
     return v1, (energy_e + 1.0) / (2.0 * g_t - 1.0)
 

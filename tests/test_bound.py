@@ -22,7 +22,7 @@ from kgsquare import (
 from kgsquare import bound
 from kgsquare.bound import SSW_V0_TOL
 from kgsquare.cli import SWEEP_BOUND_PRESETS
-from kgsquare.core import E_MARGIN, interior_q_squared
+from kgsquare.core import interior_q_squared
 from kgsquare.oracle import OracleConfig, oracle_bound_states
 
 # Frozen regression anchors for the g_t=1, a=0.5 coalescence (well deepening
@@ -444,16 +444,20 @@ def _check(cfg, energies, odd):
     """Run the vectorised level checks on the given (E, odd) levels of cfg."""
     e = np.asarray(energies, dtype=float)
     owner = np.zeros(e.size, dtype=int)
-    return bound._check_levels(owner, e, np.asarray(odd, dtype=bool), *bound._columns([cfg]))
+    return bound._check_levels(
+        owner, e, np.asarray(odd, dtype=bool), np.array([cfg.v0]), cfg.half_width_a, cfg.g_t
+    )
 
 
 class TestBatchedSolve:
     @pytest.mark.parametrize(
         "preset, steps",
-        [(p, None) for p in ("fig5", "fig6", "fig7", "fig8", "fig9")] + [("fig5", 3200)],
+        [(p, None) for p in ("fig5", "fig6", "fig7", "fig8", "fig9")] + [("fig5", 3200), ("wide", None)],
     )
     def test_sweep_states_equal_single_solves(self, preset, steps):
-        p = SWEEP_BOUND_PRESETS[preset]
+        # "wide": a scalar well with dozens of levels at every strength of the batch
+        wide = {"gt": 0.0, "half_width": 50.0, "v0_min": -1.99, "v0_max": -0.01, "steps": 80}
+        p = SWEEP_BOUND_PRESETS.get(preset, wide)
         grid = np.linspace(p["v0_min"], p["v0_max"], (steps or p["steps"]) + 1)
         sweep = spectrum_sweep(p["gt"], p["half_width"], grid)
         singles = {
@@ -477,14 +481,14 @@ class TestBatchedSolve:
 
     @pytest.mark.parametrize("cfg", [FIG5_CFG, PotentialConfig(-1.5, 400.0, 0.0)])
     def test_vectorised_checks_match_scalar_formulas(self, cfg):
-        _, e, j, _, _ = bound._levels([cfg], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        _, e, j, _, _ = bound._levels(np.array([cfg.v0]), cfg.half_width_a, cfg.g_t)
         z, z0 = _check(cfg, e, j % 2.0 == 1.0)
         a = cfg.half_width_a
         assert z.tolist() == [math.sqrt(interior_q_squared(x, cfg)) * a for x in e.tolist()]
         assert z0.tolist() == [z0_of(x, cfg) for x in e.tolist()]
 
     def test_vectorised_checks_still_armed(self, monkeypatch):
-        _, e, j, _, _ = bound._levels([FIG5_CFG], -1.0 + E_MARGIN, 1.0 - E_MARGIN)
+        _, e, j, _, _ = bound._levels(np.array([FIG5_CFG.v0]), FIG5_CFG.half_width_a, FIG5_CFG.g_t)
         odd = j % 2.0 == 1.0
         with pytest.raises(NumericalError, match="quantization residual"):
             _check(FIG5_CFG, e[:1] + 1e-6, odd[:1])

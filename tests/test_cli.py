@@ -336,6 +336,23 @@ class TestSweepCommands:
         ]
         assert table.to_csv() == out
 
+    def test_sweep_bound_events_order_branches_as_numbers(self, capsys):
+        # branches 7 and 14 dive at the same V0 on this grid
+        argv = [
+            "sweep-bound",
+            "--gt", "0.25",
+            "--half-width", "11",
+            "--v0-min", "-1.99",
+            "--v0-max", "-0.01",
+            "--steps", "400",
+        ]
+        assert main(argv) == 0
+        events = parse_csv(capsys.readouterr().out).events
+        keys = [(e["v0"], e["event"], e["branch_a"]) for e in events]
+        assert (-0.40600000000000014, "continuum-dive", 7) in keys
+        assert (-0.40600000000000014, "continuum-dive", 14) in keys
+        assert keys == sorted(keys)
+
     def test_sweep_bound_json_structure(self, capsys):
         argv = [
             "sweep-bound",
