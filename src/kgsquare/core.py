@@ -177,10 +177,9 @@ def critical_potentials(energy_e: float, g_t: float) -> tuple[float, float | Non
     V1 = E - 1 always; V2 = (E + 1)/(2 g_t - 1) exists only off the balanced
     coupling (g_t != 1/2), where the q^2-vs-V0 parabola has a second root.
     """
-    v1 = energy_e - 1.0
     if classify(g_t) is SolutionClass.B:
-        return v1, None
-    return v1, (energy_e + 1.0) / (2.0 * g_t - 1.0)
+        return energy_e - 1.0, None
+    return energy_e - 1.0, (energy_e + 1.0) / (2.0 * g_t - 1.0)
 
 
 def channel_densities(

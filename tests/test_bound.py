@@ -428,12 +428,16 @@ class TestSpectrumSweep:
             spectrum_sweep(g_t, a, grid)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("g_t, a", [(0.3, 5.0), (0.9, 0.5)])
-    def test_numpy_scalar_coupling_solves_as_its_float(self, g_t, a):
-        # numpy 2 keeps float32 arithmetic for float32 scalars, so the sweep
-        # must solve with the float value of g_t; (0.9, 0.5) has a coalescence
+    @pytest.mark.parametrize(
+        "g_t, a",
+        [(np.float32(0.3), 5.0), (np.float32(0.1), 5.0), (0.9, np.float32(0.7))],
+        ids=["gt-0.3", "gt-0.1", "a-0.7"],
+    )
+    def test_numpy_scalar_well_solves_as_its_floats(self, g_t, a):
+        # numpy 2 keeps float32 arithmetic between float32 scalars, so the
+        # sweep must solve with the float values; the a = 0.7 well has coalescences
         grid = np.linspace(-4.0, -0.01, 201)
-        assert spectrum_sweep(np.float32(g_t), a, grid) == spectrum_sweep(float(np.float32(g_t)), a, grid)
+        assert spectrum_sweep(g_t, a, grid) == spectrum_sweep(float(g_t), float(a), grid)
 
 
 # a fig5 configuration: g_t = 1, a = 0.5, V0 on the 801-point preset grid
