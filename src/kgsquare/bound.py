@@ -15,10 +15,12 @@ pole-free residuals
 whose zeros coincide with the poles of the transmission amplitude continued
 to k = i kappa.
 
-A spectrum sweep solves all its grid strengths in one vectorised pass: every
-branch at every strength of the one well is a segment of a single flat phase
-grid, and the roots and their checks are computed for all segments at once.
-find_bound_states is that pass on a single strength.
+A spectrum sweep solves all its grid strengths in one vectorised pass, with
+every branch at every strength of the one well a segment of z. On each
+segment phi has at most one critical point, a minimum, so the signs of phi'
+at its two ends tell whether it must be cut there; the roots and their checks
+are then computed for all segments at once. find_bound_states is that pass on
+a single strength.
 
 Every root has a phase key (s, j, orient): its branch, its label and the
 orientation +-1 of phi on its monotone cell. The key is constant along a
@@ -57,7 +59,6 @@ from .core import (
 RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root
 DUALITY_TOL = 1e-8  # accepted |transmission denominator| at k -> i kappa
 SSW_V0_TOL = 1e-9  # width of the critical-strength bracket after refinement
-_GRID_PER_HALF_PI = 8  # phase-grid points per pi/2 of z on each branch
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,14 +174,18 @@ def z0_of(energy_e: float, cfg: PotentialConfig) -> float:
 
 def pole_residual(energy_e: float, cfg: PotentialConfig) -> float:
     """|transmission matching denominator| continued to k = i kappa; it
-    vanishes exactly at the bound energies (pole/bound-state duality)."""
+    vanishes exactly at the bound energies (pole/bound-state duality). It is
+    math.inf where it overflows: on evanescent interiors with a large |q| a."""
     if not abs(energy_e) < 1.0:
         raise DomainError(f"pole residual is defined for |E| < 1, got {energy_e}")
     q2 = interior_q_squared(energy_e, cfg)
     q = cmath.sqrt(complex(q2, 0.0))  # i|q| branch when q^2 < 0
     kc = 1.0j * _kappa(energy_e)
     two_qa = 2.0 * q * cfg.half_width_a
-    d = 2.0 * kc * q * cmath.cos(two_qa) - 1.0j * (q * q + kc * kc) * cmath.sin(two_qa)
+    try:
+        d = 2.0 * kc * q * cmath.cos(two_qa) - 1.0j * (q * q + kc * kc) * cmath.sin(two_qa)
+    except OverflowError:  # cosh(2 |q| a) beyond the double range
+        return math.inf
     return abs(d)
 
 
@@ -236,18 +241,6 @@ def _newton(fun: Callable, lo: np.ndarray, hi: np.ndarray, z: np.ndarray) -> np.
     return z
 
 
-def _linspaces(lo: np.ndarray, hi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linspace(lo[i], hi[i], n[i]) for every i, bit for bit, concatenated,
-    with the index i of every point: k * ((hi - lo) / (n - 1)) + lo for
-    k = 0 .. n - 1, and the last point set to hi."""
-    seg = np.repeat(np.arange(n.size), n)
-    end = np.cumsum(n)
-    k = np.arange(seg.size) - (end - n)[seg]
-    z = k * ((hi - lo) / (n - 1))[seg] + lo[seg]
-    z[end - 1] = hi
-    return seg, z
-
-
 def _levels(v0: np.ndarray, a: float, g_t: float) -> tuple[np.ndarray, ...]:
     """Every level in the bound window [-1 + E_MARGIN, 1 - E_MARGIN] of the
     well of half-width a and vector fraction g_t at each strength v0[i], as
@@ -256,13 +249,20 @@ def _levels(v0: np.ndarray, a: float, g_t: float) -> tuple[np.ndarray, ...]:
     s = +-1 and the orientation +-1 of phi on the level's monotone cell.
     Sorted by owner, then by energy, then even before odd.
 
-    All strengths are solved in one vectorised pass. Each interior branch s
-    at each strength is a segment of one flat z-grid, sampled at
-    _GRID_PER_HALF_PI points per pi/2 of z exactly as np.linspace would.
-    Sign changes of phi' within a segment are refined to the critical points
-    of phi, which cut the segment into cells on which phi is monotone. Every
-    j pi/2 in the range of a cell is then exactly one root, refined by Newton.
-    Every element is refined on its own, so the levels at one strength do not
+    On each branch s at each strength, phi has at most one critical point, a
+    minimum. Put x = |E - g_t V0| >= m = |1 + g_s V0|, c = -s g_t V0 and
+    A = 1 - c^2 - m^2, so that E = s(x - c), L = q^2 + kappa^2 = 2cx + A and
+    a x kappa L phi'(z) = a x L kappa + Q(x) with Q = c x^2 + A x + c m^2.
+    If c <= 0, phi' > 0. If c > 0, phi' = 0 needs Q < 0, which on a non-empty
+    segment (m < c + 1) forces c >= m + 1; as Q(c) = c > 0, every zero lies
+    at x <= c. There a kappa rises strictly and -Q/(xL) never rises (its
+    derivative has the sign of A x^2 + 4 c m^2 x + A m^2, whose discriminant
+    is <= 0), so phi' changes sign at most once, from - to +.
+
+    The minimum, refined by Newton, cuts its segment into two cells on which
+    phi is monotone. Every j pi/2 in the range of a cell is one root, refined
+    by Newton within [j pi/2, (j + 1) pi/2], as z = j pi/2 + atan2(kappa a, z).
+    Every element is solved on its own, so the levels at one strength do not
     depend on the other strengths in the batch.
     """
     vt = g_t * v0
@@ -281,51 +281,45 @@ def _levels(v0: np.ndarray, a: float, g_t: float) -> tuple[np.ndarray, ...]:
     vt_seg, m_seg = vt[own], m[own]
     z_lo = a * np.sqrt((w_lo - m_seg) * (w_lo + m_seg))
     z_hi = a * np.sqrt((w_hi - m_seg) * (w_hi + m_seg))
-    n = 2 + ((z_hi - z_lo) * _GRID_PER_HALF_PI / (0.5 * math.pi)).astype(int)
-    seg, z = _linspaces(z_lo, z_hi, n)
 
     def at(cells: np.ndarray) -> tuple[np.ndarray, ...]:
         return s_seg[cells], a, vt_seg[cells], m_seg[cells]
 
-    _, phi, _, slope = _phase(z, *at(seg))
-    rising = slope > 0.0
-    i = np.nonzero((rising[:-1] != rising[1:]) & (seg[:-1] == seg[1:]))[0]
-    if i.size:
-        orient = np.where(rising[i], -1.0, 1.0)
-        p_crit = at(seg[i])
+    n = own.size
+    both = np.tile(np.arange(n), 2)
+    _, phi, _, slope = _phase(np.concatenate((z_lo, z_hi)), *at(both))
+    # cells [z_lo, z_c] and [z_c, z_hi]; the first is empty where there is no minimum
+    z_c, phi_c = z_lo.copy(), phi[:n].copy()
+    dip = np.nonzero((slope[:n] < 0.0) & (slope[n:] > 0.0))[0]
+    if dip.size:
+        lo, hi, k_lo, k_hi, p_crit = z_lo[dip], z_hi[dip], slope[dip], slope[n + dip], at(dip)
+        start = lo + k_lo / (k_lo - k_hi) * (hi - lo)
+        z_c[dip] = _newton(lambda x: _phase(x, *p_crit, True)[3:], lo, hi, start)
+        phi_c[dip] = _phase(z_c[dip], *p_crit)[1]
 
-        def oriented_slope(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, _, _, k1, dk1 = _phase(x, *p_crit, True)
-            return orient * k1, orient * dk1
-
-        lo, hi = z[i], z[i + 1]
-        start = lo + slope[i] / (slope[i] - slope[i + 1]) * (hi - lo)
-        c = _newton(oriented_slope, lo, hi, start)
-        z = np.insert(z, i + 1, c)
-        phi = np.insert(phi, i + 1, _phase(c, *p_crit)[1])
-        seg = np.insert(seg, i + 1, seg[i])
-
-    x = phi / (0.5 * math.pi)
-    x0, x1 = x[:-1], x[1:]
+    f0, f1 = np.concatenate((phi[:n], phi_c)), np.concatenate((phi_c, phi[n:]))
+    x0, x1 = f0 / (0.5 * math.pi), f1 / (0.5 * math.pi)
     up = x1 > x0
     # labels j with j pi/2 in (phi0, phi1] on a rising cell, [phi1, phi0) on a falling one
     first = np.maximum(np.where(up, np.floor(x0) + 1.0, np.ceil(x1)), 0.0)
     last = np.where(up, np.floor(x1), np.ceil(x0) - 1.0)
-    count = np.where(seg[:-1] == seg[1:], np.maximum(last - first + 1.0, 0.0), 0.0).astype(int)
+    count = np.maximum(last - first + 1.0, 0.0).astype(int)
     cell = np.repeat(np.arange(count.size), count)
     j = first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)
     target = j * (0.5 * math.pi)
-    lo, hi, f0, f1 = z[cell], z[cell + 1], phi[cell], phi[cell + 1]
-    p_cell = at(seg[cell])
+    c_lo, c_hi = np.concatenate((z_lo, z_c))[cell], np.concatenate((z_c, z_hi))[cell]
+    start = c_lo + (target - f0[cell]) / (f1[cell] - f0[cell]) * (c_hi - c_lo)
+    lo, hi = np.maximum(c_lo, target), np.minimum(c_hi, (j + 1.0) * (0.5 * math.pi))
+    p_cell = at(both[cell])
     orient = np.where(up[cell], 1.0, -1.0)
 
     def offset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _, p, d1, _ = _phase(x, *p_cell)
         return orient * (p - target), orient * d1
 
-    root = _newton(offset, lo, hi, lo + (target - f0) / (f1 - f0) * (hi - lo))
+    root = _newton(offset, lo, hi, np.clip(start, lo, hi))
     energies = _phase(root, *p_cell)[0]
-    owner = own[seg[cell]]
+    owner = own[both[cell]]
     order = np.lexsort((j % 2.0, energies, owner))
     return owner[order], energies[order], j[order], p_cell[0][order], orient[order]
 
@@ -533,8 +527,8 @@ def spectrum_sweep(
         b.label = "particle" if b.states[shallow].energy_e > 0.0 else "antiparticle"
 
     return SpectrumSweep(
-        g_t=g_t,
-        half_width_a=half_width_a,
+        g_t=well.g_t,
+        half_width_a=well.half_width_a,
         v0_grid=grid,
         branches=branches,
         ssw_events=[_refine_ssw(well.g_t, well.half_width_a, c) for c in candidates],

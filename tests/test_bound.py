@@ -22,7 +22,7 @@ from kgsquare import (
 from kgsquare import bound
 from kgsquare.bound import SSW_V0_TOL
 from kgsquare.cli import SWEEP_BOUND_PRESETS
-from kgsquare.core import interior_q_squared
+from kgsquare.core import E_MARGIN, interior_q_squared
 from kgsquare.oracle import OracleConfig, oracle_bound_states
 
 # Frozen regression anchors for the g_t=1, a=0.5 coalescence (well deepening
@@ -82,6 +82,29 @@ def _residual_sign_changes(cfg: PotentialConfig, parity: str, e_lo: float, e_hi:
     qa = q * cfg.half_width_a
     f = kap * np.cos(qa) - q * np.sin(qa) if parity == "even" else kap * np.sin(qa) / q + np.cos(qa)
     return int(np.count_nonzero(np.signbit(f[:-1]) != np.signbit(f[1:])))
+
+
+def _propagating_sign_changes(cfg: PotentialConfig, parity: str) -> int:
+    """Sign changes of the parity residual of _residual_sign_changes over the
+    propagating part of the bound window, branch by branch, at energies
+    evenly spaced in q: 20 per pi/2 of qa (about 20 per level), and at least
+    8001 per branch."""
+    vt, m, a = cfg.g_t * cfg.v0, abs(1.0 + cfg.g_s * cfg.v0), cfg.half_width_a
+    count = 0
+    for s in (1.0, -1.0):
+        w_lo, w_hi = sorted((s * (-1.0 + E_MARGIN - vt), s * (1.0 - E_MARGIN - vt)))
+        w_lo = max(w_lo, m)
+        if not w_hi > w_lo:
+            continue
+        q_lo, q_hi = math.sqrt((w_lo - m) * (w_lo + m)), math.sqrt((w_hi - m) * (w_hi + m))
+        q = np.linspace(q_lo, q_hi, max(8001, int(20 * (q_hi - q_lo) * a / (0.5 * math.pi))))
+        q = q[q > 0.0]
+        e = vt + s * np.hypot(q, m)
+        kap = np.sqrt((1.0 - e) * (1.0 + e))
+        qa = q * a
+        f = kap * np.cos(qa) - q * np.sin(qa) if parity == "even" else kap * np.sin(qa) / q + np.cos(qa)
+        count += int(np.count_nonzero(np.signbit(f[:-1]) != np.signbit(f[1:])))
+    return count
 
 
 def _cfg_at_phase(energy_e: float, phase: float, a: float = 1.0) -> PotentialConfig:
@@ -229,6 +252,16 @@ class TestFindBoundStates:
         even = sum(s.parity == "even" for s in states)
         assert (even, len(states) - even) == WIDE_WELL_COUNTS[(v0, a, g_t)]
 
+    def test_level_counts_match_residual_sign_changes(self):
+        # seeded wells up to a = 400, each parity counted by an independent scan
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            a = float(np.exp(rng.uniform(math.log(0.03), math.log(400.0))))
+            cfg = PotentialConfig(float(rng.uniform(-6.0, 3.0)), a, float(rng.uniform(0.0, 1.0)))
+            parities = Counter(s.parity for s in find_bound_states(cfg))
+            for parity in ("even", "odd"):
+                assert parities[parity] == _propagating_sign_changes(cfg, parity), (cfg, parity)
+
     def test_matches_shooting_oracle(self):
         ocfg = OracleConfig(step_count=4000)
         for v0, a, g_t in [(-1.0, 0.5, 1.0), (-1.2, 5.0, 0.0)]:
@@ -252,6 +285,10 @@ class TestDualityAndImaginaryQ:
             * quantization_residual(energy, cfg, "odd")
         )
         assert pole_residual(energy, cfg) == pytest.approx(product, rel=1e-12)
+
+    def test_pole_residual_overflow_is_inf(self):
+        # evanescent interior: |D| grows like cosh(2 |q| a), here with 2 |q| a ~ 2700
+        assert pole_residual(0.3, PotentialConfig(3.0, 400.0, 0.2)) == math.inf
 
     @pytest.mark.parametrize(
         "v0,a,g_t",
@@ -439,6 +476,11 @@ class TestSpectrumSweep:
         grid = np.linspace(-4.0, -0.01, 201)
         assert spectrum_sweep(g_t, a, grid) == spectrum_sweep(float(g_t), float(a), grid)
 
+    def test_sweep_reports_the_float_well(self):
+        sweep = spectrum_sweep(np.float32(0.1), np.float32(5.0), np.linspace(-1.0, -0.01, 5))
+        assert type(sweep.g_t) is float and sweep.g_t == float(np.float32(0.1))
+        assert type(sweep.half_width_a) is float and sweep.half_width_a == 5.0
+
 
 # a fig5 configuration: g_t = 1, a = 0.5, V0 on the 801-point preset grid
 FIG5_CFG = PotentialConfig(float(np.linspace(-4.0, -0.01, 801)[600]), 0.5, 1.0)
@@ -474,14 +516,29 @@ class TestBatchedSolve:
         alive = Counter(v0 for branch in sweep.branches for v0 in branch.v0s)
         assert [len(singles[v0]) for v0 in sweep.v0_grid] == [alive[v0] for v0 in sweep.v0_grid]
 
-    def test_segment_grid_is_linspace(self):
-        lo = np.array([0.0, 0.3, 2.5, 1e-3, 7.0])
-        hi = np.array([1.0, 7.9, 2.5 + 1e-12, 123.4, 7.0])
-        n = np.array([2, 17, 3, 1001, 4])
-        seg, z = bound._linspaces(lo, hi, n)
-        assert np.array_equal(seg, np.repeat(np.arange(lo.size), n))
-        expected = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(lo, hi, n)])
-        assert np.array_equal(z, expected)
+    def test_phase_has_at_most_one_critical_point_a_minimum(self):
+        # kappa phi' over 2000 seeded segments (s, a, g_t V0, 1 + g_s V0) of
+        # the bound window changes sign at most once, and only from - to +.
+        rng = np.random.default_rng(15)
+        g_t, v0 = rng.uniform(0.0, 1.0, 8000), rng.uniform(-20.0, 20.0, 8000)
+        a = np.exp(rng.uniform(math.log(0.01), math.log(400.0), 8000))
+        s = rng.choice([1.0, -1.0], 8000)
+        vt, m = g_t * v0, np.abs(1.0 + (1.0 - g_t) * v0)
+        w_a, w_b = s * (-1.0 + E_MARGIN - vt), s * (1.0 - E_MARGIN - vt)
+        w_lo, w_hi = np.maximum(np.minimum(w_a, w_b), m), np.maximum(w_a, w_b)
+        segments = np.flatnonzero(w_hi > w_lo)[:2000]
+        assert segments.size == 2000
+        minima = 0
+        for i in np.array_split(segments, 40):
+            z_lo = a[i] * np.sqrt((w_lo[i] - m[i]) * (w_lo[i] + m[i]))
+            z_hi = a[i] * np.sqrt((w_hi[i] - m[i]) * (w_hi[i] + m[i]))
+            z = np.linspace(z_lo, z_hi, 20001, axis=1)
+            rising = bound._phase(z, s[i, None], a[i, None], vt[i, None], m[i, None])[3] > 0.0
+            flips = np.count_nonzero(rising[:, 1:] != rising[:, :-1], axis=1)
+            assert (flips <= 1).all()
+            assert not (rising[:, 0] & (flips == 1)).any()
+            minima += int(flips.sum())
+        assert minima > 500
 
     @pytest.mark.parametrize("cfg", [FIG5_CFG, PotentialConfig(-1.5, 400.0, 0.0)])
     def test_vectorised_checks_match_scalar_formulas(self, cfg):
