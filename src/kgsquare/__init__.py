@@ -1,23 +1,16 @@
 """Stationary states of a relativistic spin-0 particle in a one-dimensional
 square potential with a mixed vector/scalar coupling: scattering amplitudes,
 transmission resonances, bound-state spectra and level-coalescence detection.
+
+Importing the package loads only the closed-form scalar layers (``core``,
+``scatter``, ``tables``), which need no numpy. The numpy-backed layers,
+``bound`` (bound spectra, sweeps, coalescences) and ``oracle`` (the RK4
+cross-check), load on first access to one of their names or to the submodule
+itself, through the module ``__getattr__`` below (PEP 562).
 """
 
-from .bound import (
-    BoundState,
-    Branch,
-    DisappearanceEvent,
-    SpectrumSweep,
-    SswEvent,
-    antiparticle_crossover_energy,
-    count_imaginary_q_solutions,
-    detect_ssw,
-    find_bound_states,
-    pole_residual,
-    quantization_residual,
-    spectrum_sweep,
-    z0_of,
-)
+from importlib import import_module as _import_module
+
 from .core import (
     CLASS_EPSILON,
     BranchWavenumber,
@@ -35,12 +28,6 @@ from .core import (
     interior_wavenumber,
     kinematics,
 )
-from .oracle import (
-    OracleConfig,
-    OracleFailure,
-    oracle_bound_states,
-    oracle_transmission,
-)
 from .scatter import (
     Q_LIMIT_EPSILON,
     RESONANCE_TOL,
@@ -53,6 +40,43 @@ from .scatter import (
     transmission_regime,
 )
 from .tables import SweepTable, parse_csv
+
+# Public names of the numpy-backed submodules, bound on first access.
+_LAZY = {
+    "bound": (
+        "BoundState",
+        "Branch",
+        "DisappearanceEvent",
+        "SpectrumSweep",
+        "SswEvent",
+        "antiparticle_crossover_energy",
+        "count_imaginary_q_solutions",
+        "detect_ssw",
+        "find_bound_states",
+        "pole_residual",
+        "quantization_residual",
+        "spectrum_sweep",
+        "z0_of",
+    ),
+    "oracle": ("OracleConfig", "OracleFailure", "oracle_bound_states", "oracle_transmission"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = _import_module(f".{name}", __name__)
+    elif name in _LAZY_HOME:
+        value = getattr(_import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
+
 
 __version__ = "0.1.0"
 

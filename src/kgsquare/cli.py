@@ -3,6 +3,9 @@ as deterministic CSV (default) or JSON on stdout; diagnostics go to stderr.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (unphysical input),
 3 internal numerical failure.
+
+Only ``sweep-bound`` and the levels path of ``bound`` import the numpy-backed
+``bound`` layer; the other commands run on the scalar layers alone.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ import math
 import sys
 from typing import Any
 
-import numpy as np
-
-from . import bound, scatter
+from . import scatter
 from .core import (
     DomainError,
     NumericalError,
@@ -89,14 +90,22 @@ def _params(args: argparse.Namespace, command: str, names: list[str], **extra: A
     return {"command": command, **extra, **{n: getattr(args, n) for n in names}}
 
 
-def _grid(args: argparse.Namespace) -> np.ndarray:
+def _grid(args: argparse.Namespace) -> list[float]:
+    """The ``steps + 1`` sweep strengths from ``v0_min`` to ``v0_max``, with
+    the bits of ``numpy.linspace``: ``i * step + start``, or ``(i / steps) *
+    delta + start`` where the step underflows to zero, then the exact end."""
     if args.steps < 2:
         raise _UsageError(f"--steps must be >= 2, got {args.steps}")
     if not args.v0_max > args.v0_min:
         raise _UsageError("--v0-max must be greater than --v0-min")
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
-    return np.linspace(args.v0_min, args.v0_max, args.steps + 1)
+    start, stop, div = float(args.v0_min), float(args.v0_max), args.steps
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
 
 
 def cmd_scatter(args: argparse.Namespace) -> SweepTable:
@@ -135,6 +144,8 @@ def cmd_bound(args: argparse.Namespace) -> SweepTable:
     _apply_preset(args, BOUND_PRESETS)
     if args.quantization_table:
         return _quantization_table(args)
+    from . import bound
+
     params = _params(args, "bound", ["v0", "gt", "half_width"])
     cfg = PotentialConfig(args.v0, args.half_width, args.gt)
     records = [
@@ -181,6 +192,8 @@ def _quantization_table(args: argparse.Namespace) -> SweepTable:
 
 
 def cmd_sweep_bound(args: argparse.Namespace) -> SweepTable:
+    from . import bound
+
     _apply_preset(args, SWEEP_BOUND_PRESETS)
     names = ["gt", "half_width", "v0_min", "v0_max", "steps"]
     params = _params(args, "sweep-bound", names, preset=args.preset)

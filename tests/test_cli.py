@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, formats, presets, and determinism."""
 
+import argparse
 import json
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kgsquare.scatter
 from kgsquare import NumericalError, PotentialConfig, coefficients
-from kgsquare.cli import main
+from kgsquare.cli import SWEEP_BOUND_PRESETS, SWEEP_T_PRESETS, _grid, main
 from kgsquare.tables import parse_csv
 
 
@@ -368,6 +371,59 @@ class TestSweepCommands:
         assert sorted(doc) == ["events", "params", "records"]
         assert all(e["event"] != "ssw-coalescence" for e in doc["events"])
         assert all(row["branch_id"] >= 0 for row in doc["records"])
+
+
+# Denormal spans whose step (v0_max - v0_min) / steps underflows to zero.
+DENORMAL_SPANS = [(0.0, 5e-324, 2), (0.0, 1e-320, 10000), (-5e-324, 5e-324, 5)]
+
+
+class TestGrid:
+    """The sweep grid is built without numpy but has the bits of np.linspace."""
+
+    @staticmethod
+    def assert_linspace_bits(v0_min: float, v0_max: float, steps: int) -> None:
+        grid = _grid(argparse.Namespace(v0_min=v0_min, v0_max=v0_max, steps=steps, threads=1))
+        assert all(type(v) is float for v in grid)
+        expected = np.linspace(v0_min, v0_max, steps + 1)
+        got = np.array(grid)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), (v0_min, v0_max, steps)
+
+    @pytest.mark.parametrize("preset", sorted({**SWEEP_T_PRESETS, **SWEEP_BOUND_PRESETS}.items()))
+    def test_presets(self, preset):
+        _, p = preset
+        self.assert_linspace_bits(p["v0_min"], p["v0_max"], p["steps"])
+
+    @pytest.mark.parametrize(
+        "v0_min, v0_max, steps",
+        [
+            (-3.0, 7.0, 1000),  # crosses zero
+            (-0.1, 0.1, 7),
+            (-0.0, 3.0, 11),  # the first point is -0.0 + 0.0 = +0.0, as in numpy
+            (-0.0, 1e-300, 3),
+            (1.0, 1.0000000000000002, 2),  # a span of one ulp
+            (-5e-301, 5e-301, 977),  # a span of 1e-300
+            (-1e300, 1e300, 999),  # a span of 2e300
+            (1e300, 2e300, 1000),
+            *DENORMAL_SPANS,
+        ],
+    )
+    def test_edge_spans(self, v0_min, v0_max, steps):
+        self.assert_linspace_bits(v0_min, v0_max, steps)
+
+    @pytest.mark.parametrize("v0_min, v0_max, steps", DENORMAL_SPANS)
+    def test_denormal_spans_take_the_zero_step_branch(self, v0_min, v0_max, steps):
+        assert (v0_max - v0_min) / steps == 0.0
+
+    def test_seeded_triples(self):
+        rng = random.Random(20071)
+        for _ in range(1200):
+            v0_min = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+            span = rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-12, 8)
+            if rng.random() < 0.25:  # round ends, as typed on a command line
+                v0_min, span = round(v0_min, 2), round(span, 2) or 0.01
+            v0_max = v0_min + span
+            if v0_max > v0_min:
+                self.assert_linspace_bits(v0_min, v0_max, rng.randint(2, 1500))
 
 
 class TestSubprocess:
