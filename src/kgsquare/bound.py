@@ -28,8 +28,8 @@ level curve E(V0): a root never reaches z = 0, where phi = -pi/2, and phi'
 can vanish at a root only where the two roots (s, j, +1) and (s, j, -1) meet.
 A sweep therefore links levels across the grid by their keys. A key that
 vanishes alone has left through |E| = 1 (a continuum dive); the two keys of
-one (s, j) that vanish or appear together are a coalescence, whose strength
-is bisected while both roots exist.
+one (s, j) that vanish or appear together are a coalescence, located at the
+fold of their level curve phi = j pi/2, where the strength turns back.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ from .core import (
     classify,
     interior_q_squared,
     monotone_grid,
+    strength_roots,
 )
 
 RESIDUAL_TOL = 1e-10  # accepted quantization-residual magnitude at a root
 DUALITY_TOL = 1e-8  # accepted |transmission denominator| at k -> i kappa
-SSW_V0_TOL = 1e-9  # width of the critical-strength bracket after refinement
+SSW_V0_TOL = 1e-9  # accuracy the tests require of a coalescence strength
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +76,7 @@ class BoundState:
 
 @dataclass(frozen=True, slots=True)
 class SswEvent:
-    """A same-parity particle/antiparticle level coalescence."""
+    """A same-parity particle/antiparticle level coalescence at a level-curve fold."""
 
     v0_critical: float
     e_critical: float
@@ -97,7 +98,7 @@ class DisappearanceEvent:
 @dataclass(frozen=True, slots=True)
 class SswCandidate:
     """Two levels of one (s, j) that vanish, or appear, together between two
-    adjacent grid strengths: a coalescence before its strength is refined."""
+    adjacent grid strengths: a coalescence before its fold is solved."""
 
     parity: Parity
     v0_alive: float  # grid point where both levels were last seen
@@ -421,29 +422,35 @@ def antiparticle_crossover_energy(g_t: float) -> float:
     return -g_t / (1.0 - g_t)
 
 
-def _refine_ssw(g_t: float, half_width_a: float, cand: SswCandidate) -> SswEvent:
-    """Bisect the strength between the last point where both roots
-    (s, j, +1) and (s, j, -1) of the candidate exist and the first where they
-    do not, down to SSW_V0_TOL; the event energy is the midpoint of the pair
-    at the last strength where it was seen."""
+def _fold(g_t: float, a: float, cand: SswCandidate) -> SswEvent:
+    """The coalescence of a candidate as the fold of its level curve phi = j pi/2 in z: there
+    kappa a = z tan(z - j pi/2), E = +-sqrt(1 - kappa^2) has the sign of the pair, and V0 is the
+    root on branch s of strength_roots at q = z/a. dV0/dz = 0 where (E - g_t V0) dE/dz = z/a^2,
+    a sign change between the pair's phases at v0_alive, bisected until it cannot be split."""
     s, j = cand.key
-    v_alive, v_dead = cand.v0_alive, cand.v0_dead
-    pair = cand.pair
-    while abs(v_dead - v_alive) > SSW_V0_TOL:
-        v_mid = 0.5 * (v_alive + v_dead)
-        _, e, j_k, s_k, orient = _levels(np.array([v_mid]), half_width_a, g_t)
-        hit = (s_k == s) & (j_k == j)
-        if sorted(orient[hit].tolist()) == [-1.0, 1.0]:
-            v_alive, pair = v_mid, tuple(e[hit].tolist())
-        else:
-            v_dead = v_mid
-    return SswEvent(
-        v0_critical=0.5 * (v_alive + v_dead),
-        e_critical=0.5 * (pair[0] + pair[1]),
-        branch_a=cand.branch_a,
-        branch_b=cand.branch_b,
-        parity=cand.parity,
-    )
+
+    def fold(z: float) -> tuple[float, float, float]:  # z/a^2 - (E - g_t V0) dE/dz, V0, E
+        t = math.tan(z - 0.5 * math.pi * j)
+        kap = z * t / a
+        e = math.copysign(math.sqrt((1.0 - kap) * (1.0 + kap)), cand.pair[0])
+        v0 = [v for v in strength_roots(e, (z / a) ** 2, g_t) if s * (e - g_t * v) > 0.0]
+        if len(v0) != 1:
+            raise NumericalError(f"{len(v0)} strengths on branch s={s} at z={z} for {cand}")
+        return z / (a * a) + (e - g_t * v0[0]) * kap * (t + z * (1.0 + t * t)) / (a * e), v0[0], e
+
+    try:
+        if not cand.pair[0] * cand.pair[1] > 0.0:
+            raise NumericalError(f"pair straddles E = 0, where z is not monotone in E: {cand}")
+        alive = PotentialConfig(cand.v0_alive, a, g_t)
+        lo, hi = sorted(a * math.sqrt(interior_q_squared(e, alive)) for e in cand.pair)
+        if not (f_lo := fold(lo)[0]) * fold(hi)[0] < 0.0:
+            raise NumericalError(f"no sign change of dV0/dz between the pair's phases: {cand}")
+        while lo < (z := 0.5 * (lo + hi)) < hi:
+            lo, hi = (z, hi) if (fold(z)[0] < 0.0) == (f_lo < 0.0) else (lo, z)
+        _, v0_c, e_c = fold(z)
+    except (ArithmeticError, ValueError) as exc:
+        raise NumericalError(f"fold solve failed ({exc}) for {cand}") from exc
+    return SswEvent(v0_c, e_c, cand.branch_a, cand.branch_b, cand.parity)
 
 
 def _pair_up(
@@ -462,17 +469,9 @@ def _pair_up(
         if partner is None:
             unpaired.append(b)
         elif b.states[-1].energy_e < partner.states[-1].energy_e:
-            candidates.append(
-                SswCandidate(
-                    parity=b.parity,
-                    v0_alive=v_alive,
-                    v0_dead=v_dead,
-                    pair=(b.states[-1].energy_e, partner.states[-1].energy_e),
-                    key=(s, j),
-                    branch_a=b.branch_id,
-                    branch_b=partner.branch_id,
-                )
-            )
+            pair = (b.states[-1].energy_e, partner.states[-1].energy_e)
+            ids = (b.branch_id, partner.branch_id)
+            candidates.append(SswCandidate(b.parity, v_alive, v_dead, pair, (s, j), *ids))
     return candidates, unpaired
 
 
@@ -531,13 +530,13 @@ def spectrum_sweep(
         half_width_a=well.half_width_a,
         v0_grid=grid,
         branches=branches,
-        ssw_events=[_refine_ssw(well.g_t, well.half_width_a, c) for c in candidates],
+        ssw_events=[_fold(well.g_t, well.half_width_a, c) for c in candidates],
         disappearance_events=dives,
         ssw_candidates=candidates,
     )
 
 
 def detect_ssw(sweep: SpectrumSweep) -> list[tuple[float, float]]:
-    """The (V0, E) of every coalescence event of a sweep, each refined to a
-    critical-strength bracket narrower than SSW_V0_TOL."""
+    """The (V0, E) of every coalescence event of a sweep: the fold of the
+    pair's level curve, where its strength turns back."""
     return [(ev.v0_critical, ev.e_critical) for ev in sweep.ssw_events]

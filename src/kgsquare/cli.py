@@ -102,6 +102,8 @@ def _grid(args: argparse.Namespace) -> list[float]:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     start, stop, div = float(args.v0_min), float(args.v0_max), args.steps
     delta = stop - start
+    if not math.isfinite(delta):
+        raise DomainError(f"sweep span v0_max - v0_min = {stop} - ({start}) = {delta} is not finite")
     step = delta / div
     if step == 0.0:
         return [i / div * delta + start for i in range(div)] + [stop]

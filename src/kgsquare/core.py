@@ -171,6 +171,23 @@ def kinematics(energy_e: float, cfg: PotentialConfig) -> Kinematics:
     return Kinematics(energy_e, k2, q2, _branch(k2), _branch(q2), kappa)
 
 
+def strength_roots(energy_e: float, q2: float, g_t: float) -> list[float]:
+    """The strengths V0, ascending, at which the interior has q^2 = q2 at the energy E: the real
+    roots of (2 g_t - 1) V0^2 - 2 V0 [(E - 1) g_t + 1] + (E^2 - 1) - q2 = 0, a linear equation
+    inside the CLASS_EPSILON band around g_t = 1/2."""
+    beta = (energy_e - 1.0) * g_t + 1.0
+    c0 = energy_e * energy_e - 1.0 - q2
+    c2 = 2.0 * g_t - 1.0
+    if abs(c2) <= CLASS_EPSILON:
+        return [c0 / (2.0 * beta)]  # linear case: balanced coupling
+    b = -2.0 * beta
+    disc = b * b - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    half = -(b + math.copysign(math.sqrt(disc), b)) / 2.0  # no cancellation for either sign of b
+    return sorted({half / c2, c0 / half} if half != 0.0 else {0.0})
+
+
 def critical_potentials(energy_e: float, g_t: float) -> tuple[float, float | None]:
     """Strengths V1 and V2 at which q^2 vanishes and the interior branch flips.
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .core import (
-    CLASS_EPSILON,
     DomainError,
     NumericalError,
     PotentialConfig,
     classify,
     interior_q_squared,
     monotone_grid,
+    strength_roots,
 )
 from .tables import SweepTable
 
@@ -205,19 +205,7 @@ def resonant_v0_for_energy(
         raise DomainError(f"g_t must lie in [0, 1], got {g_t}")
     if not half_width_a > 0.0:
         raise DomainError(f"half_width_a must be positive, got {half_width_a}")
-    beta = (energy_e - 1.0) * g_t + 1.0
-    c0 = energy_e * energy_e - 1.0 - (n * math.pi / (2.0 * half_width_a)) ** 2
-    c2 = 2.0 * g_t - 1.0
-    if abs(c2) <= CLASS_EPSILON:
-        roots = [c0 / (2.0 * beta)]  # linear case: balanced coupling
-    else:
-        b = -2.0 * beta
-        disc = b * b - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        half = -(b - sq) / 2.0  # b < 0 always, so this form avoids cancellation
-        roots = sorted({half / c2, c0 / half} if half != 0.0 else {0.0})
+    roots = strength_roots(energy_e, (n * math.pi / (2.0 * half_width_a)) ** 2, g_t)
     for v0 in roots:
         _, t = coefficients(energy_e, PotentialConfig(v0, half_width_a, g_t))
         if abs(t - 1.0) > RESONANCE_TOL:

@@ -1,6 +1,8 @@
 """Bound-state spectra, quantization residuals, sweeps, and SSW coalescence."""
 
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -480,6 +482,87 @@ class TestSpectrumSweep:
         sweep = spectrum_sweep(np.float32(0.1), np.float32(5.0), np.linspace(-1.0, -0.01, 5))
         assert type(sweep.g_t) is float and sweep.g_t == float(np.float32(0.1))
         assert type(sweep.half_width_a) is float and sweep.half_width_a == 5.0
+
+
+# Folds of the fig5 and fig6 level curves, solved to 50 digits with mpmath
+# independently of the library.
+FOLD_V0 = {"fig5": -2.252677598858633775708, "fig6": -2.540695628643266158692}
+
+# (g_t, a, V0 min, V0 max) of 801-point sweeps whose coalescences are checked against the residual
+FOLD_SWEEPS = {"fig5": (1.0, 0.5, -4.0, -0.01), "fig6": (0.75, 0.5, -4.0, -0.01), "gt0.75-a2": (0.75, 2.0, -8.0, -0.01)}
+
+
+class TestSswFold:
+    @pytest.mark.parametrize("preset", sorted(FOLD_V0))
+    def test_fold_matches_the_50_digit_value(self, preset):
+        p = SWEEP_BOUND_PRESETS[preset]
+        sweep = spectrum_sweep(p["gt"], p["half_width"], np.linspace(p["v0_min"], p["v0_max"], p["steps"] + 1))
+        (event,) = sweep.ssw_events
+        assert abs(event.v0_critical - FOLD_V0[preset]) <= 1e-14
+
+    @pytest.mark.parametrize("g_t, a, v0_min, v0_max", list(FOLD_SWEEPS.values()), ids=list(FOLD_SWEEPS))
+    def test_pair_exists_on_one_side_of_the_fold_only(self, g_t, a, v0_min, v0_max):
+        # 1e-12 on either side of the critical strength, the parity residual
+        # has the two roots of the pair on one side and none on the other.
+        sweep = spectrum_sweep(g_t, a, np.linspace(v0_min, v0_max, 801))
+        assert len(sweep.ssw_events) == (7 if a == 2.0 else 1)
+        for ev in sweep.ssw_events:
+            counts = sorted(
+                _residual_sign_changes(
+                    PotentialConfig(ev.v0_critical + dv, a, g_t),
+                    ev.parity,
+                    ev.e_critical - 4e-6,
+                    ev.e_critical + 4e-6,
+                )
+                for dv in (-1e-12, 1e-12)
+            )
+            assert counts == [0, 2], ev
+
+    @staticmethod
+    def _fig5_candidate() -> bound.SswCandidate:
+        (cand,) = spectrum_sweep(1.0, 0.5, np.linspace(-4.0, -0.01, 801)).ssw_candidates
+        return cand
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("straddle", "pair straddles E = 0"),
+            ("one-side", "no sign change of dV0/dz"),
+            ("no-root", "0 strengths on branch s=-1.0"),
+            ("two-roots", "2 strengths on branch s=1.0"),
+            ("math-domain", r"fold solve failed \(math domain error\)"),
+        ],
+    )
+    def test_fold_failures_name_the_candidate(self, case, message):
+        fig5 = self._fig5_candidate()
+        e_lo = fig5.pair[0]
+        # a scalar-dominated well: both strength roots at E ~ 0.99 lie on branch s = +1
+        scalar = bound.SswCandidate("even", -3.0, -3.01, (0.6, 0.7), (1.0, 0.0), 0, 1)
+        g_t, cand = {
+            "straddle": (1.0, dataclasses.replace(fig5, pair=(-0.1, 0.1))),
+            "one-side": (1.0, dataclasses.replace(fig5, pair=(e_lo, e_lo + 1e-3))),
+            "no-root": (0.25, dataclasses.replace(scalar, key=(-1.0, 0.0))),
+            "two-roots": (0.25, scalar),
+            "math-domain": (1.0, dataclasses.replace(fig5, pair=(-0.5, -0.4))),  # q^2 < 0 at v0_alive
+        }[case]
+        with pytest.raises(NumericalError, match=message) as err:
+            bound._fold(g_t, 0.5, cand)
+        assert str(err.value).endswith(repr(cand))
+
+    def test_fold_raises_only_numerical_errors(self):
+        rng = random.Random(2217)
+        solved = 0
+        for _ in range(3000):
+            pair = tuple(sorted(rng.uniform(-1.0, 1.0) for _ in range(2)))
+            key = (rng.choice([1.0, -1.0]), float(rng.randint(0, 4)))
+            cand = bound.SswCandidate("even", rng.uniform(-10.0, 10.0), 0.0, pair, key, 0, 1)
+            try:
+                event = bound._fold(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-1.0, 1.0), cand)
+            except NumericalError:
+                continue
+            assert math.isfinite(event.v0_critical) and abs(event.e_critical) < 1.0
+            solved += 1
+        assert solved > 0
 
 
 # a fig5 configuration: g_t = 1, a = 0.5, V0 on the 801-point preset grid

@@ -426,6 +426,25 @@ class TestGrid:
                 self.assert_linspace_bits(v0_min, v0_max, rng.randint(2, 1500))
 
 
+class TestOverflowingSpan:
+    """A sweep span beyond the double range is a domain error that names the span."""
+
+    @pytest.mark.parametrize(
+        "argv, span",
+        [
+            (["sweep-t", "--preset", "fig1", "--v0-min=-1e308", "--v0-max", "1e308"], "1e+308 - (-1e+308)"),
+            (["sweep-t", "--preset", "fig1", "--v0-max", "inf"], "inf - (0.0)"),
+            (["sweep-bound", "--preset", "fig5", "--v0-min=-1e308", "--v0-max", "1e308"], "1e+308 - (-1e+308)"),
+            (["sweep-bound", "--preset", "fig5", "--v0-max", "inf"], "inf - (-4.0)"),
+        ],
+    )
+    def test_span_is_named(self, capsys, argv, span):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"kgsquare: domain error: sweep span v0_max - v0_min = {span} = inf is not finite\n"
+
+
 class TestSubprocess:
     def test_end_to_end_scatter(self):
         proc = run_cli("scatter", "--energy", "1.1", "--v0", "3.0", "--gt", "1.0", "--half-width", "1.0")

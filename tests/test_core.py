@@ -1,6 +1,8 @@
 """Kinematics, classification, critical strengths, and channel densities."""
 
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from kgsquare import (
     interior_wavenumber,
     kinematics,
 )
-from kgsquare.core import CLASS_EPSILON
+from kgsquare.core import CLASS_EPSILON, strength_roots
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -199,6 +201,46 @@ class TestCriticalPotentials:
         # the 1e-10 root check is only meaningful at moderate strengths.
         if v2 is not None and abs(v2) < 50.0:
             assert abs(interior_q_squared(energy, PotentialConfig(v2, a, g_t))) <= 1e-10
+
+
+def _strength_inputs():
+    """Seeded (E, q^2, g_t) triples of the three kinds the strength quadratic serves."""
+    rng = random.Random(2201)
+    for _ in range(1000):  # bound-window energies with beta = (E - 1) g_t + 1 < 0
+        g_t = rng.uniform(0.55, 1.0)
+        e = -1.0 + (2.0 - 1.0 / g_t) * 10.0 ** rng.uniform(-8.0, 0.0)
+        assert (e - 1.0) * g_t + 1.0 < 0.0
+        yield e, (10.0 ** rng.uniform(-4.0, 1.3) / rng.uniform(0.1, 10.0)) ** 2, g_t
+    for _ in range(1000):  # the balanced band, where the equation is linear
+        e = rng.choice([rng.uniform(-1.0, 1.0), rng.uniform(1.0, 10.0)])
+        yield e, rng.uniform(0.0, 50.0), 0.5 + rng.uniform(-1.0, 1.0) * CLASS_EPSILON
+    for _ in range(1000):  # transmission resonances, 2qa = n pi
+        a, n = rng.uniform(0.1, 10.0), rng.randint(1, 20)
+        yield 1.0 + 10.0 ** rng.uniform(-12.0, 1.0), (n * math.pi / (2.0 * a)) ** 2, rng.uniform(0.0, 1.0)
+
+
+class TestStrengthRoots:
+    def test_roots_reproduce_q_squared(self):
+        eps = sys.float_info.epsilon
+        count = 0
+        for e, q2, g_t in _strength_inputs():
+            for v in strength_roots(e, q2, g_t):
+                d, m = e - g_t * v, 1.0 + (1.0 - g_t) * v
+                # rounding of q^2 at V0, and of V0 itself carried by dq^2/dV0
+                scale = d * d + m * m + 2.0 * abs(v) * (g_t * abs(d) + (1.0 - g_t) * abs(m))
+                # inside the balanced band the (2 g_t - 1) V0^2 term is dropped
+                c2 = 2.0 * g_t - 1.0
+                dropped = abs(c2) * v * v if abs(c2) <= CLASS_EPSILON else 0.0
+                residual = interior_q_squared(e, PotentialConfig(v, 1.0, g_t)) - q2
+                assert abs(residual) <= 16.0 * eps * scale + dropped, (e, q2, g_t, v)
+                count += 1
+        assert count > 4000
+
+    def test_ascending_and_empty_without_real_roots(self):
+        assert strength_roots(0.5, 1.0, 0.5) == [(0.25 - 1.0 - 1.0) / (2.0 * 0.75)]  # beta = 0.75
+        roots = strength_roots(-0.9, 4.0, 0.9)
+        assert len(roots) == 2 and roots[0] < roots[1]
+        assert strength_roots(0.0, 1.0, 0.2) == []  # scalar-dominated: q^2 above the parabola's peak
 
 
 class TestChannelDensities:
