@@ -488,8 +488,8 @@ class TestSpectrumSweep:
 # independently of the library.
 FOLD_V0 = {"fig5": -2.252677598858633775708, "fig6": -2.540695628643266158692}
 
-# (g_t, a, V0 min, V0 max) of 801-point sweeps whose coalescences are checked against the residual
-FOLD_SWEEPS = {"fig5": (1.0, 0.5, -4.0, -0.01), "fig6": (0.75, 0.5, -4.0, -0.01), "gt0.75-a2": (0.75, 2.0, -8.0, -0.01)}
+# name -> (g_t, a, V0 min, event count) of 801-point sweeps over [V0 min, -0.01]
+FOLD_SWEEPS = {"fig5": (1.0, 0.5, -4.0, 1), "fig6": (0.75, 0.5, -4.0, 1), "gt0.75-a2": (0.75, 2.0, -8.0, 7)}
 
 
 class TestSswFold:
@@ -500,12 +500,12 @@ class TestSswFold:
         (event,) = sweep.ssw_events
         assert abs(event.v0_critical - FOLD_V0[preset]) <= 1e-14
 
-    @pytest.mark.parametrize("g_t, a, v0_min, v0_max", list(FOLD_SWEEPS.values()), ids=list(FOLD_SWEEPS))
-    def test_pair_exists_on_one_side_of_the_fold_only(self, g_t, a, v0_min, v0_max):
+    @pytest.mark.parametrize("g_t, a, v0_min, count", list(FOLD_SWEEPS.values()), ids=list(FOLD_SWEEPS))
+    def test_pair_exists_on_one_side_of_the_fold_only(self, g_t, a, v0_min, count):
         # 1e-12 on either side of the critical strength, the parity residual
         # has the two roots of the pair on one side and none on the other.
-        sweep = spectrum_sweep(g_t, a, np.linspace(v0_min, v0_max, 801))
-        assert len(sweep.ssw_events) == (7 if a == 2.0 else 1)
+        sweep = spectrum_sweep(g_t, a, np.linspace(v0_min, -0.01, 801))
+        assert len(sweep.ssw_events) == count
         for ev in sweep.ssw_events:
             counts = sorted(
                 _residual_sign_changes(
