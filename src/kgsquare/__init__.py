@@ -29,7 +29,6 @@ from .core import (
     kinematics,
 )
 from .scatter import (
-    Q_LIMIT_EPSILON,
     RESONANCE_TOL,
     ScatteringSolution,
     amplitudes,
@@ -93,7 +92,6 @@ __all__ = [
     "OracleConfig",
     "OracleFailure",
     "PotentialConfig",
-    "Q_LIMIT_EPSILON",
     "RESONANCE_TOL",
     "ScatteringSolution",
     "SolutionClass",

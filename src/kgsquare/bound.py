@@ -485,8 +485,11 @@ def spectrum_sweep(
     fixed-parity branches by their phase key (s, j, orient); record continuum
     dives and refine pairwise level deaths/births into coalescence events.
 
-    All grid strengths are solved in one vectorised pass. ``threads`` is
-    accepted for compatibility and has no effect."""
+    The states at each strength, and the coalescences, do not depend on the
+    direction of the grid. A dive does: it is reported only where a level
+    leaves the window along the grid's direction, and a level that enters it
+    makes no event. All grid strengths are solved in one vectorised pass.
+    ``threads`` is accepted for compatibility and has no effect."""
     grid = monotone_grid(v0_grid)
     # a strictly monotone grid can be non-finite only at its ends
     well = PotentialConfig(grid[0], half_width_a, g_t)

@@ -113,11 +113,14 @@ def _grid(args: argparse.Namespace) -> list[float]:
 def cmd_scatter(args: argparse.Namespace) -> SweepTable:
     params = _params(args, "scatter", ["energy", "v0", "gt", "half_width", "with_amplitudes"])
     cfg = PotentialConfig(args.v0, args.half_width, args.gt)
-    sol = scatter.amplitudes(args.energy, cfg)
+    q2 = interior_q_squared(args.energy, cfg)
+    # At q^2 = 0 the plane-wave amplitudes do not exist; elsewhere they cross-check R and T.
+    sol = scatter.amplitudes(args.energy, cfg) if q2 != 0.0 or args.with_amplitudes else None
+    r, t = scatter.coefficients(args.energy, cfg) if sol is None else (sol.r, sol.t)
     record: dict[str, Any] = {
-        "R": sol.r,
-        "T": sol.t,
-        "q2": interior_q_squared(args.energy, cfg),
+        "R": r,
+        "T": t,
+        "q2": q2,
         "regime": scatter.transmission_regime(args.energy, cfg),
         "class": classify(args.gt).value,
     }

@@ -152,10 +152,13 @@ def exterior_wavenumber(energy_e: float) -> BranchWavenumber:
 
 
 def interior_q_squared(energy_e: float, cfg: PotentialConfig) -> float:
-    """q^2 = (E - g_t V0)^2 - (1 + g_s V0)^2 inside the potential."""
+    """q^2 = (E - g_t V0)^2 - (1 + g_s V0)^2 inside the potential; DomainError where a square overflows."""
     vt = cfg.g_t * cfg.v0
     vs = cfg.g_s * cfg.v0
-    return (energy_e - vt) ** 2 - (1.0 + vs) ** 2
+    try:
+        return (energy_e - vt) ** 2 - (1.0 + vs) ** 2
+    except OverflowError:
+        raise DomainError(f"q^2 is not finite at E={energy_e}, V0={cfg.v0}") from None
 
 
 def interior_wavenumber(energy_e: float, cfg: PotentialConfig) -> BranchWavenumber:
@@ -174,7 +177,7 @@ def kinematics(energy_e: float, cfg: PotentialConfig) -> Kinematics:
 def strength_roots(energy_e: float, q2: float, g_t: float) -> list[float]:
     """The strengths V0, ascending, at which the interior has q^2 = q2 at the energy E: the real
     roots of (2 g_t - 1) V0^2 - 2 V0 [(E - 1) g_t + 1] + (E^2 - 1) - q2 = 0, a linear equation
-    inside the CLASS_EPSILON band around g_t = 1/2."""
+    inside the CLASS_EPSILON band around g_t = 1/2. Two exactly equal roots are returned once."""
     beta = (energy_e - 1.0) * g_t + 1.0
     c0 = energy_e * energy_e - 1.0 - q2
     c2 = 2.0 * g_t - 1.0
@@ -185,7 +188,8 @@ def strength_roots(energy_e: float, q2: float, g_t: float) -> list[float]:
     if disc < 0.0:
         return []
     half = -(b + math.copysign(math.sqrt(disc), b)) / 2.0  # no cancellation for either sign of b
-    return sorted({half / c2, c0 / half} if half != 0.0 else {0.0})
+    roots = sorted((half / c2, c0 / half)) if half != 0.0 else [0.0, 0.0]  # half = 0: b = disc = 0
+    return roots[:1] if roots[0] == roots[1] else roots
 
 
 def critical_potentials(energy_e: float, g_t: float) -> tuple[float, float | None]:

@@ -180,15 +180,17 @@ def oracle_bound_states(
 
     One evaluation of the RK4 transfer matrix from x = 0 to x = a gives the
     mismatch of both parities on N_SCAN energies in
-    (-1 + E_MARGIN, 1 - E_MARGIN). Each sign change is a bracket. Every pass
-    then evaluates _K_SECTION interior points of all brackets at once and
-    keeps the first sub-interval with a sign change, until every bracket is no
-    wider than _BISECT_TOL. A level is the midpoint of its bracket.
+    (-1 + E_MARGIN, 1 - E_MARGIN). Each change of ``mismatch > 0`` between
+    adjacent energies is one bracket, so a root that falls exactly on a scan
+    energy opens one bracket, not two. Every pass then evaluates _K_SECTION
+    interior points of all brackets at once and keeps the first sub-interval
+    with a sign change, until every bracket is no wider than _BISECT_TOL. A
+    level is the midpoint of its bracket.
     """
     e_grid = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
     mm = _shoot_mismatch(e_grid, cfg, ocfg.step_count)
-    sign = np.sign(mm)
-    parity_row, cell = np.nonzero(sign[:, :-1] != sign[:, 1:])  # even brackets first
+    positive = mm > 0.0
+    parity_row, cell = np.nonzero(positive[:, :-1] != positive[:, 1:])  # even brackets first
     lo, hi, flo = e_grid[cell], e_grid[cell + 1], mm[parity_row, cell]
     fractions = np.arange(1, _K_SECTION + 1) / (_K_SECTION + 1)
     bracket = np.arange(lo.size)
@@ -203,9 +205,5 @@ def oracle_bound_states(
         edges = np.concatenate([lo[:, None], points, hi[:, None]], axis=1)
         values = np.concatenate([flo[:, None], f], axis=1)
         lo, hi, flo = edges[bracket, first], edges[bracket, first + 1], values[bracket, first]
-    found: list[tuple[float, Parity]] = []
-    for e_root, row in zip(0.5 * (lo + hi), parity_row):
-        parity: Parity = "odd" if row else "even"
-        if not any(p == parity and abs(e_root - e) < 1e-9 for e, p in found):
-            found.append((float(e_root), parity))
-    return sorted(found)
+    levels = zip(0.5 * (lo + hi), parity_row)
+    return sorted((float(e_root), "odd" if row else "even") for e_root, row in levels)

@@ -27,11 +27,8 @@ from .core import (
 )
 from .tables import SweepTable
 
-# |q| * a below this uses the series limit of sin(2qa)/q (regular at q = 0).
-Q_LIMIT_EPSILON = 1e-6
 # Verified tolerance for "transmission equals one" at a resonance.
 RESONANCE_TOL = 1e-9
-_DENOM_FLOOR = 1e-300
 _CROSS_CHECK_TOL = 1e-10
 
 ChargeSign = Literal["positive", "negative"]
@@ -59,14 +56,14 @@ class ScatteringSolution:
 
 
 def _sin_over_q(q2: float, a: float) -> float:
-    """sin(2qa)/q continued through q = 0: sinh(2|q|a)/|q| on the evanescent
-    branch, the Taylor series in u = (2a)^2 q^2 near q = 0, inf on overflow."""
-    if abs(q2) * a * a < Q_LIMIT_EPSILON * Q_LIMIT_EPSILON:
-        u = (2.0 * a) * (2.0 * a) * q2
-        return 2.0 * a * (1.0 - u / 6.0 + u * u / 120.0)
+    """sin(2qa)/q continued through q = 0: its limit 2a at q^2 = 0 exactly,
+    sinh(2|q|a)/|q| on the evanescent branch, inf on overflow. Neither quotient
+    cancels for q^2 != 0, so small |q| needs no series."""
     if q2 > 0.0:
         q = math.sqrt(q2)
         return math.sin(2.0 * q * a) / q
+    if q2 == 0.0:
+        return 2.0 * a
     mu = math.sqrt(-q2)
     try:
         return math.sinh(2.0 * mu * a) / mu
@@ -84,6 +81,8 @@ def coefficients(energy_e: float, cfg: PotentialConfig) -> tuple[float, float]:
     energy_e = float(energy_e)
     if not energy_e > 1.0:
         raise DomainError(f"no incident propagating wave: requires E > 1, got {energy_e}")
+    if energy_e == math.inf:
+        raise DomainError(f"E must be finite, got {energy_e}")
     k2 = energy_e * energy_e - 1.0
     k = math.sqrt(k2)
     q2 = interior_q_squared(energy_e, cfg)
@@ -111,20 +110,22 @@ def amplitudes(energy_e: float, cfg: PotentialConfig) -> ScatteringSolution:
     energy_e = float(energy_e)
     if not energy_e > 1.0:
         raise DomainError(f"no incident propagating wave: requires E > 1, got {energy_e}")
+    if energy_e == math.inf:
+        raise DomainError(f"E must be finite, got {energy_e}")
     a = cfg.half_width_a
     k2 = energy_e * energy_e - 1.0
     k = math.sqrt(k2)
     q2 = interior_q_squared(energy_e, cfg)
+    # |d| >= 2k|q| on the propagating branch and >= k|q| on the scaled
+    # evanescent one, so the denominator vanishes exactly at q^2 = 0.
+    if q2 == 0.0:
+        raise NumericalError(f"vanishing matching denominator at E={energy_e}, cfg={cfg} (q^2={q2})")
     exp_m2ika = cmath.exp(-2.0j * k * a)
-    if q2 >= 0.0:
+    if q2 > 0.0:
         q = math.sqrt(q2)
         c2 = math.cos(2.0 * q * a)
         s2 = math.sin(2.0 * q * a)
         d = 2.0 * k * q * c2 - 1.0j * (q2 + k2) * s2
-        if abs(d) < _DENOM_FLOOR:
-            raise NumericalError(
-                f"vanishing matching denominator at E={energy_e}, cfg={cfg} (q^2={q2})"
-            )
         ratio_a_minus = 1.0j * (q2 - k2) * s2 * exp_m2ika / d
         ratio_b_plus = k * (q + k) * cmath.exp(-1.0j * (q + k) * a) / d
         ratio_b_minus = k * (q - k) * cmath.exp(1.0j * (q - k) * a) / d
@@ -135,10 +136,6 @@ def amplitudes(energy_e: float, cfg: PotentialConfig) -> ScatteringSolution:
         ch = 0.5 * (1.0 + decay)  # cosh(2 mu a) * e^{-2 mu a}
         sh = 0.5 * (1.0 - decay)  # sinh(2 mu a) * e^{-2 mu a}
         d = complex((k2 + q2) * sh, 2.0 * k * mu * ch)
-        if abs(d) < _DENOM_FLOOR:
-            raise NumericalError(
-                f"vanishing matching denominator at E={energy_e}, cfg={cfg} (q^2={q2})"
-            )
         exp_mika = cmath.exp(-1.0j * k * a)
         ratio_a_minus = (mu * mu + k2) * sh * exp_m2ika / d
         ratio_b_plus = k * complex(k, mu) * exp_mika * math.exp(-mu * a) / d
@@ -199,6 +196,8 @@ def resonant_v0_for_energy(
     """
     if not energy_e > 1.0:
         raise DomainError(f"resonant strengths need E > 1, got {energy_e}")
+    if energy_e == math.inf:
+        raise DomainError(f"E must be finite, got {energy_e}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not (0.0 <= g_t <= 1.0):

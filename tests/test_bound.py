@@ -492,6 +492,15 @@ FOLD_V0 = {"fig5": -2.252677598858633775708, "fig6": -2.540695628643266158692}
 FOLD_SWEEPS = {"fig5": (1.0, 0.5, -4.0, 1), "fig6": (0.75, 0.5, -4.0, 1), "gt0.75-a2": (0.75, 2.0, -8.0, 7)}
 
 
+# name -> (g_t, a, V0 min) of 801-point sweeps over [V0 min, -0.01], run both ways
+REVERSIBLE_SWEEPS = {
+    "fig5": (1.0, 0.5, -4.0),
+    "fig6": (0.75, 0.5, -4.0),
+    "gt0.75-a2": (0.75, 2.0, -8.0),
+    "gt0.9592-a2.342": (0.9592, 2.342, -8.0),
+}
+
+
 class TestSswFold:
     @pytest.mark.parametrize("preset", sorted(FOLD_V0))
     def test_fold_matches_the_50_digit_value(self, preset):
@@ -517,6 +526,29 @@ class TestSswFold:
                 for dv in (-1e-12, 1e-12)
             )
             assert counts == [0, 2], ev
+
+    @pytest.mark.parametrize("g_t, a, v0_min", list(REVERSIBLE_SWEEPS.values()), ids=list(REVERSIBLE_SWEEPS))
+    def test_reversed_grid_gives_the_same_states_and_events(self, g_t, a, v0_min):
+        grid = np.linspace(v0_min, -0.01, 801)
+        sweeps = [spectrum_sweep(g_t, a, g) for g in (grid, grid[::-1])]
+
+        def per_strength(sweep: bound.SpectrumSweep) -> dict:
+            states: dict[float, list] = {}
+            for b in sweep.branches:
+                for v0, state in zip(b.v0s, b.states):
+                    states.setdefault(v0, []).append(state)
+            return {v0: sorted(ss, key=lambda st: st.energy_e) for v0, ss in states.items()}
+
+        forward, reverse = (per_strength(sweep) for sweep in sweeps)
+        assert forward.keys() == reverse.keys()
+        for v0, states in forward.items():
+            assert [(st.parity, st.index_n) for st in states] == [(st.parity, st.index_n) for st in reverse[v0]]
+            for st, st_r in zip(states, reverse[v0]):
+                assert max(abs(st.energy_e - st_r.energy_e), abs(st.z - st_r.z), abs(st.z0 - st_r.z0)) <= 1e-14
+        events = [sorted((ev.v0_critical, ev.e_critical, ev.parity) for ev in sweep.ssw_events) for sweep in sweeps]
+        assert len(events[0]) == len(events[1]) > 0
+        for (v0_c, e_c, parity), (v0_r, e_r, parity_r) in zip(*events):
+            assert parity == parity_r and max(abs(v0_c - v0_r), abs(e_c - e_r)) <= 1e-14
 
     @staticmethod
     def _fig5_candidate() -> bound.SswCandidate:

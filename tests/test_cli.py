@@ -3,8 +3,12 @@
 import argparse
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,67 @@ class TestScatter:
             assert f"{name}_re" in table.columns and f"{name}_im" in table.columns
 
 
+class TestExactThreshold:
+    """At V1 = E - 1 and V2 = (E + 1)/(2 g_t - 1) the interior has q^2 = 0.
+    R and T stay regular there; the plane-wave amplitudes do not exist."""
+
+    @pytest.mark.parametrize("v0", ["0.1", "2.1"])
+    def test_scatter_prints_the_sweep_row(self, capsys, v0):
+        argv = ["scatter", "--energy", "1.1", "--v0", v0, "--gt", "1", "--half-width", "1"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:3] == ["0.17355371900826455", "0.82644628099173545", "0"]
+        assert main(["sweep-t", "--preset", "fig1"]) == 0
+        sweep_rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        (sweep_row,) = [r for r in sweep_rows if float(r[0]) == float(v0)]  # columns v0,q2,T,R
+        assert (row[0], row[1]) == (sweep_row[3], sweep_row[2])
+
+    @pytest.mark.parametrize("v0", ["0.1", "2.1"])
+    def test_amplitudes_are_a_numerical_error(self, capsys, v0):
+        argv = ["scatter", "--energy", "1.1", "--v0", v0, "--gt", "1", "--half-width", "1", "--with-amplitudes"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "denominator" in captured.err
+
+
+class TestExtremeEnergies:
+    """Energies whose squares leave the double range end in a domain error,
+    never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            (
+                "scatter --energy inf --v0 -0.6 --gt 0 --half-width 2",
+                "kgsquare: domain error: E must be finite, got inf",
+            ),
+            (
+                "scatter --energy 1e300 --v0 -0.9 --gt 0.05 --half-width 3",
+                "kgsquare: domain error: q^2 is not finite at E=1e+300, V0=-0.9",
+            ),
+            (
+                "sweep-t --energy inf --gt 0.77 --half-width 3.6 --v0-min 4.6 --v0-max 5.6 --steps 4",
+                "kgsquare: domain error: E must be finite, got inf",
+            ),
+            (
+                "resonances --gt 0.5 --half-width 2 --n-max 2 --v0 1e300",
+                "kgsquare: domain error: q^2 is not finite at E=1e+300, V0=1e+300",
+            ),
+            (
+                "resonances --gt 0.89 --half-width 5e-324 --n-max 2 --v0 -5",
+                "kgsquare: domain error: E must be finite, got inf",
+            ),
+        ],
+        ids=["scatter-inf", "scatter-1e300", "sweep-t-inf", "resonances-v0-1e300", "resonances-a-5e-324"],
+    )
+    def test_exit_code_and_message(self, capsys, argv, first_line):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == first_line
+
+
 class TestResonancesCommand:
     def test_energies_mode(self, capsys):
         argv = ["resonances", "--gt", "1.0", "--half-width", "1.0", "--v0", "3.0", "--n-max", "3"]
@@ -443,6 +508,38 @@ class TestOverflowingSpan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"kgsquare: domain error: sweep span v0_max - v0_min = {span} = inf is not finite\n"
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """Each `kgsquare ...` command of the README's sh blocks that shows its
+    output, as (argv, shown lines): the `# ` lines right below the command,
+    with `# ...` marking elided lines."""
+    examples: list[tuple[list[str], list[str]]] = []
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("kgsquare "):
+                continue
+            while line.endswith("\\"):
+                i += 1
+                line = line[:-1] + lines[i]
+            shown = [out[2:] for out in takewhile(lambda out: out.startswith("# "), lines[i + 1 :])]
+            if shown:
+                examples.append((shlex.split(line)[1:], [s for s in shown if s != "..."]))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_print_what_the_readme_shows(self, capsys):
+        examples = _readme_examples()
+        assert len(examples) >= 4
+        for argv, shown in examples:
+            assert main(argv) == 0, argv
+            out = iter(capsys.readouterr().out.splitlines())
+            # each shown line appears in stdout, in the order shown
+            missing = [line for line in shown if line not in out]
+            assert missing == [], argv
 
 
 class TestSubprocess:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -144,6 +145,11 @@ class TestInteriorWavenumber:
         assert q.is_imaginary
         assert q.magnitude == pytest.approx(math.sqrt(3.99), rel=1e-14)
 
+    @pytest.mark.parametrize("energy, v0", [(1e300, -0.9), (1.1, 1e300), (-1e200, 0.0)])
+    def test_overflowing_square_is_a_domain_error(self, energy, v0):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'q^2 is not finite at E={energy}, V0={v0}')}$"):
+            interior_q_squared(energy, PotentialConfig(v0, 1.0, 0.05))
+
 
 class TestKinematics:
     def test_bundle_consistency(self):
@@ -241,6 +247,10 @@ class TestStrengthRoots:
         roots = strength_roots(-0.9, 4.0, 0.9)
         assert len(roots) == 2 and roots[0] < roots[1]
         assert strength_roots(0.0, 1.0, 0.2) == []  # scalar-dominated: q^2 above the parabola's peak
+
+    def test_equal_roots_are_returned_once(self):
+        assert strength_roots(0.0, -1.0, 1.0) == [0.0]  # beta = 0 and c0 = 0: V0^2 = 0
+        assert strength_roots(1.0, -1.0, 1.0) == [1.0]  # disc = 0: V0^2 - 2 V0 + 1 = 0
 
 
 class TestChannelDensities:

@@ -14,6 +14,8 @@ from kgsquare import (
     oracle_bound_states,
     oracle_transmission,
 )
+from kgsquare import oracle
+from kgsquare.core import E_MARGIN, N_SCAN
 from kgsquare.oracle import _propagator, _q2_at, _rk4, _transmission_batch
 
 FAST = OracleConfig(step_count=2000)
@@ -250,6 +252,22 @@ class TestOracleBoundStates:
         with warnings.catch_warnings(), pytest.raises(OracleFailure):
             warnings.simplefilter("error")
             oracle_bound_states(OVERFLOW, OracleConfig(step_count=1000))
+
+    def test_each_sign_change_is_one_level(self, monkeypatch):
+        # Two even roots 8e-11 apart, on either side of a scan energy, are two
+        # levels; an odd mismatch that is exactly 0.0 at a scan energy is one.
+        scan = np.linspace(-1.0 + E_MARGIN, 1.0 - E_MARGIN, N_SCAN)
+        even_node, odd_node = scan[3000], scan[5000]
+
+        def mismatch(energy_e, cfg, step_count):
+            even = (energy_e - (even_node - 4e-11)) * (energy_e - (even_node + 4e-11))
+            return np.stack([even, energy_e - odd_node])
+
+        monkeypatch.setattr(oracle, "_shoot_mismatch", mismatch)
+        levels = oracle_bound_states(PotentialConfig(-1.0, 1.0, 1.0), FAST)
+        assert [p for _, p in levels] == ["even", "even", "odd"]
+        for (e, _), root in zip(levels, (even_node - 4e-11, even_node + 4e-11, odd_node)):
+            assert abs(e - root) <= 1e-10
 
 
 class TestPropagator:

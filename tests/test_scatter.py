@@ -70,6 +70,14 @@ class TestCoefficients:
             with pytest.raises(DomainError):
                 coefficients(energy, PotentialConfig(1.0, 1.0, 1.0))
 
+    def test_rejects_infinite_energy(self):
+        cfg = PotentialConfig(-0.6, 2.0, 0.0)
+        for call in (coefficients, amplitudes):
+            with pytest.raises(DomainError, match="^E must be finite, got inf$"):
+                call(math.inf, cfg)
+        with pytest.raises(DomainError, match="^E must be finite, got inf$"):
+            resonant_v0_for_energy(math.inf, 0.0, 2.0, 1)
+
     @settings(max_examples=400, deadline=None)
     @given(valid_energy, valid_v0, valid_a, valid_gt)
     def test_conservation_and_bounds(self, energy, v0, a, g_t):
@@ -204,6 +212,18 @@ class TestResonances:
             resonant_v0_for_energy(0.9, 1.0, 1.0, 1)
         with pytest.raises(DomainError):
             resonant_v0_for_energy(1.1, 1.0, 1.0, 0)
+
+    def test_overflowing_roots_fail_the_same_way_every_call(self):
+        # E^2 overflows, so the strength quadratic has the roots -inf and nan.
+        # Their order, and so the reported root, must not depend on where the
+        # interpreter allocated the nan.
+        keep, messages = [], set()
+        for i in range(2000):
+            keep.append(float(i) + 0.5)  # shifts later allocations
+            with pytest.raises(DomainError) as info:
+                resonant_v0_for_energy(1e200, 0.0, 1.9713714571797478, 464646)
+            messages.add(str(info.value))
+        assert messages == {"v0 must be finite, got -inf"}
 
 
 class TestTransmissionRegime:
