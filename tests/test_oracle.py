@@ -217,6 +217,86 @@ class TestOracleTransmission:
         assert np.isfinite(r) and t == 0.0
 
 
+def _random_starts(rng, size):
+    """Complex (phi, phi'), real step h and real coefficient c. A quarter of the
+    starts are purely real, so zero parts occur. With q h = sqrt|c| |h| <= 0.5,
+    1000 steps grow a start by at most e^500, so every value stays finite."""
+    phi, dphi = (
+        10.0 ** rng.uniform(-3.0, 3.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        for _ in range(2)
+    )
+    phi.imag[: size // 4], dphi.imag[: size // 4] = 0.0, 0.0
+    h = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4.0, -1.0, size)
+    c = rng.choice([-1.0, 1.0], size) * (10.0 ** rng.uniform(-4.0, np.log10(0.5), size) / h) ** 2
+    return phi, dphi, h, c
+
+
+def _complex_stepping_transmission(energy_e, cfg, step_count):
+    """(R, T) the way oracle_transmission computed it by stepping the complex
+    wave: the same start and projection, with _rk4 on Python complex scalars."""
+    e, v0, g_t, a = (np.asarray([x], dtype=float) for x in (energy_e, cfg.v0, cfg.g_t, cfg.half_width_a))
+    c = -_q2_at(v0, e, g_t)
+    k = np.sqrt(e * e - 1.0)
+    with np.errstate(all="ignore"):
+        phi = np.exp(1j * k * a)
+        start = tuple(x.item() for x in (phi, 1j * k * phi, -2.0 * a / step_count, c))
+        phi, dphi = np.atleast_1d(*_rk4(*start, step_count))
+        exp_ika = np.exp(1j * k * a)
+        a_plus = 0.5 * (phi + dphi / (1j * k)) * exp_ika
+        a_minus = 0.5 * (phi - dphi / (1j * k)) / exp_ika
+        r = np.abs(a_minus / a_plus) ** 2
+        t = 1.0 / np.abs(a_plus) ** 2
+    if not all(np.all(np.isfinite(x)) for x in (a_plus, a_minus, r, t)):
+        raise OracleFailure("complex stepping produced non-finite values")
+    return float(r[0]), float(t[0])
+
+
+class TestRealStreams:
+    """The transmission steps the real and imaginary parts of its wave as two
+    real solutions. With real h and c that is the complex step's arithmetic,
+    so (R, T) keeps every bit."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 1000])
+    def test_complex_step_is_two_real_steps_on_arrays(self, steps):
+        phi, dphi, h, c = _random_starts(np.random.default_rng(20261020 + steps), 500)
+        re, im = _rk4(phi.real, dphi.real, h, c, steps), _rk4(phi.imag, dphi.imag, h, c, steps)
+        for z, z_re, z_im in zip(_rk4(phi, dphi, h, c, steps), re, im):
+            # == compares, so a zero part may differ in sign.
+            assert np.array_equal(z.real, z_re) and np.array_equal(z.imag, z_im)
+
+    @pytest.mark.parametrize("steps", [1, 2, 1000])
+    def test_complex_step_is_two_real_steps_on_scalars(self, steps):
+        starts = _random_starts(np.random.default_rng(20261021 + steps), 500)
+        for phi, dphi, h, c in zip(*(x.tolist() for x in starts)):
+            z = _rk4(phi, dphi, h, c, steps)
+            re, im = _rk4(phi.real, dphi.real, h, c, steps), _rk4(phi.imag, dphi.imag, h, c, steps)
+            assert [w.real for w in z] == list(re) and [w.imag for w in z] == list(im)
+
+    def test_transmission_bits_match_complex_stepping(self):
+        # Wells up to a = 400 and |V0| = 1e3: some overflow, and both paths
+        # must then raise.
+        rng = np.random.default_rng(20261022)
+        failures = 0
+        for _ in range(400):
+            energy = float(1.0 + 10.0 ** rng.uniform(-4.0, 1.0))
+            cfg = PotentialConfig(
+                float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)),
+                float(np.exp(rng.uniform(np.log(0.05), np.log(400.0)))),
+                float(rng.uniform(0.0, 1.0)),
+            )
+            steps = int(rng.integers(1000, 1101))
+            try:
+                want = _complex_stepping_transmission(energy, cfg, steps)
+            except OracleFailure:
+                failures += 1
+                with pytest.raises(OracleFailure):
+                    oracle_transmission(energy, cfg, OracleConfig(step_count=steps))
+                continue
+            got = oracle_transmission(energy, cfg, OracleConfig(step_count=steps))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert 0 < failures < 400
+
+
 class TestOracleBoundStates:
     def test_free_particle_empty(self):
         assert oracle_bound_states(PotentialConfig(0.0, 1.0, 1.0), FAST) == []
