@@ -26,10 +26,10 @@ Every root has a phase key (s, j, orient): its branch, its label and the
 orientation +-1 of phi on its monotone cell. The key is constant along a
 level curve E(V0): a root never reaches z = 0, where phi = -pi/2, and phi'
 can vanish at a root only where the two roots (s, j, +1) and (s, j, -1) meet.
-A sweep therefore links levels across the grid by their keys. A key that
-vanishes alone has left through |E| = 1 (a continuum dive); the two keys of
-one (s, j) that vanish or appear together are a coalescence, located at the
-fold of their level curve phi = j pi/2, where the strength turns back.
+A sweep's branch is therefore a maximal run of one key on consecutive grid
+strengths. A run that ends alone has left through |E| = 1 (a continuum dive);
+the two runs of one (s, j) that end or begin together are a coalescence, at
+the fold of their level curve phi = j pi/2, where the strength turns back.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -371,27 +370,26 @@ def _check_levels(
 
 def _bound_states(
     v0: np.ndarray, a: float, g_t: float
-) -> tuple[list[list[BoundState]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[list[BoundState], np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """find_bound_states of the well (a, g_t) at every strength of v0, solved
-    and checked in one vectorised pass, and the phase keys (s, j, orient) of
-    all levels as flat arrays in the order of the concatenated state lists."""
+    and checked in one vectorised pass, as one flat list ordered by strength,
+    then energy; with the index of each level's strength and the phase keys
+    (s, j, orient) of all levels as flat arrays in the same order."""
     owner, e, j, s, orient = _levels(v0, a, g_t)
     odd = j % 2.0 == 1.0
     z, z0 = _check_levels(owner, e, odd, v0, a, g_t)
-    states: list[list[BoundState]] = [[] for _ in range(v0.size)]
-    levels = zip(owner.tolist(), e.tolist(), odd.tolist(), z.tolist(), z0.tolist())
-    for c, e_k, odd_k, z_k, z0_k in levels:
-        out = states[c]
-        out.append(BoundState(e_k, "odd" if odd_k else "even", len(out) + 1, z_k, z0_k))
-    return states, (s, j, orient)
+    # owner is sorted, so each strength's levels start where its owner first appears
+    index_n = (np.arange(1, owner.size + 1) - np.searchsorted(owner, owner)).tolist()
+    parity = ["odd" if o else "even" for o in odd.tolist()]
+    states = list(map(BoundState, e.tolist(), parity, index_n, z.tolist(), z0.tolist()))
+    return states, owner, (s, j, orient)
 
 
 def find_bound_states(cfg: PotentialConfig) -> list[BoundState]:
     """All bound levels of the configuration, sorted by energy and indexed
     from 1; every root is checked against the quantization residual and the
     transmission-pole duality."""
-    states, _ = _bound_states(np.array([cfg.v0]), cfg.half_width_a, cfg.g_t)
-    return states[0]
+    return _bound_states(np.array([cfg.v0]), cfg.half_width_a, cfg.g_t)[0]
 
 
 def count_imaginary_q_solutions(cfg: PotentialConfig) -> int:
@@ -453,28 +451,6 @@ def _fold(g_t: float, a: float, cand: SswCandidate) -> SswEvent:
     return SswEvent(v0_c, e_c, cand.branch_a, cand.branch_b, cand.parity)
 
 
-def _pair_up(
-    ends: dict[tuple[float, float, float], Branch], v_alive: float, v_dead: float
-) -> tuple[list[SswCandidate], list[Branch]]:
-    """Split branches that all end, or all begin, between the adjacent grid
-    strengths v_alive (where each branch's last state is) and v_dead. The two
-    roots (s, j, +1) and (s, j, -1) of one label on one interior branch are
-    created and destroyed together at a fold of phi, so such a pair is a
-    coalescence candidate. Returns the candidates and the unpaired branches,
-    both in ascending energy."""
-    candidates: list[SswCandidate] = []
-    unpaired: list[Branch] = []
-    for (s, j, orient), b in sorted(ends.items(), key=lambda kb: kb[1].states[-1].energy_e):
-        partner = ends.get((s, j, -orient))
-        if partner is None:
-            unpaired.append(b)
-        elif b.states[-1].energy_e < partner.states[-1].energy_e:
-            pair = (b.states[-1].energy_e, partner.states[-1].energy_e)
-            ids = (b.branch_id, partner.branch_id)
-            candidates.append(SswCandidate(b.parity, v_alive, v_dead, pair, (s, j), *ids))
-    return candidates, unpaired
-
-
 def spectrum_sweep(
     g_t: float,
     half_width_a: float,
@@ -485,6 +461,16 @@ def spectrum_sweep(
     fixed-parity branches by their phase key (s, j, orient); record continuum
     dives and refine pairwise level deaths/births into coalescence events.
 
+    A branch is a maximal run of one key over consecutive grid strengths,
+    numbered by its first level: by grid index, then energy. The two roots
+    (s, j, +1) and (s, j, -1) of one label on one interior branch are created
+    and destroyed together at a fold of phi, so two such runs that both end,
+    or both begin, between adjacent grid strengths are a coalescence
+    candidate. A run that ends alone before the last strength is a dive at
+    the next one. Between each two adjacent strengths, candidates of runs
+    that end come before those of runs that begin, each in ascending energy
+    on the side where the levels exist.
+
     The states at each strength, and the coalescences, do not depend on the
     direction of the grid. A dive does: it is reported only where a level
     leaves the window along the grid's direction, and a level that enters it
@@ -494,39 +480,45 @@ def spectrum_sweep(
     # a strictly monotone grid can be non-finite only at its ends
     well = PotentialConfig(grid[0], half_width_a, g_t)
     PotentialConfig(grid[-1], half_width_a, g_t)
-    per_point, keys = _bound_states(np.array(grid), well.half_width_a, well.g_t)
-    level_keys = zip(*(k.tolist() for k in keys))
+    states, owner, keys = _bound_states(np.array(grid), well.half_width_a, well.g_t)
+    order = np.lexsort((owner, *keys[::-1]))  # by key, then strength
+    sorted_keys = np.stack(keys)[:, order]
+    same = (sorted_keys[:, 1:] == sorted_keys[:, :-1]).all(axis=0)
+    step = np.diff(owner[order])
+    if (dup := same & (step == 0)).any():
+        k = int(order[1:][dup].min())  # the first duplicate in level order
+        key, v0 = tuple(float(x[k]) for x in keys), grid[owner[k]]
+        raise NumericalError(f"two levels share the phase key (s, j, orient)={key} at V0={v0}")
+    cuts = np.flatnonzero(~(same & (step == 1))) + 1
+    runs = sorted(np.split(order, cuts), key=lambda run: run[0]) if order.size else []
 
+    owner, s, j = owner.tolist(), keys[0].tolist(), keys[1].tolist()
     branches: list[Branch] = []
-    alive: dict[tuple[float, float, float], Branch] = {}
+    # (i, born, (s, j)) -> (energy, branch id) of the runs that end at
+    # grid[i - 1] (born False) or begin at grid[i] (born True)
+    ends: dict[tuple[int, bool, tuple[float, float]], list[tuple[float, int]]] = {}
+    for b_id, run in enumerate(runs):
+        run = run.tolist()
+        lo, hi = owner[run[0]], owner[run[-1]]
+        b = Branch(b_id, states[run[0]].parity, grid[lo : hi + 1], [states[k] for k in run])
+        shallow = b.states[0 if abs(grid[lo]) <= abs(grid[hi]) else -1]
+        b.label = "particle" if shallow.energy_e > 0.0 else "antiparticle"
+        branches.append(b)
+        for i, born, state in ((hi + 1, False, b.states[-1]), (lo, True, b.states[0])):
+            if 0 < i < len(grid):
+                end = ends.setdefault((i, born, (s[run[0]], j[run[0]])), [])
+                end.append((state.energy_e, b_id))
     dives: list[DisappearanceEvent] = []
     candidates: list[SswCandidate] = []
-    for i, (v0, states) in enumerate(zip(grid, per_point)):
-        linked: dict[tuple[float, float, float], Branch] = {}
-        born: dict[tuple[float, float, float], Branch] = {}
-        for state, key in zip(states, islice(level_keys, len(states))):
-            if key in linked:
-                raise NumericalError(f"two levels share the phase key (s, j, orient)={key} at V0={v0}")
-            b = alive.get(key)
-            if b is None:  # states come in ascending energy, and so do new ids
-                b = born[key] = Branch(len(branches), state.parity, [], [])
-                branches.append(b)
-            b.v0s.append(v0)
-            b.states.append(state)
-            linked[key] = b
-        if i > 0:
-            ended = {k: b for k, b in alive.items() if k not in linked}
-            died, dove = _pair_up(ended, grid[i - 1], v0)
-            new_pairs, _ = _pair_up(born, v0, grid[i - 1])
-            candidates += died + new_pairs
-            for b in dove:
-                e_last = b.states[-1].energy_e
-                dives.append(DisappearanceEvent(v0, b.branch_id, "upper" if e_last > 0.0 else "lower", e_last))
-        alive = linked
-
-    for b in branches:
-        shallow = 0 if abs(b.v0s[0]) <= abs(b.v0s[-1]) else -1
-        b.label = "particle" if b.states[shallow].energy_e > 0.0 else "antiparticle"
+    for (i, born, s_j), pair in sorted(ends.items(), key=lambda end: (end[0][:2], min(end[1]))):
+        if len(pair) == 2:
+            (e_a, id_a), (e_b, id_b) = sorted(pair)
+            alive, dead = (grid[i], grid[i - 1]) if born else (grid[i - 1], grid[i])
+            parity = branches[id_a].parity
+            candidates.append(SswCandidate(parity, alive, dead, (e_a, e_b), s_j, id_a, id_b))
+        elif not born:
+            ((e, b_id),) = pair
+            dives.append(DisappearanceEvent(grid[i], b_id, "upper" if e > 0.0 else "lower", e))
 
     return SpectrumSweep(
         g_t=well.g_t,

@@ -86,10 +86,13 @@ def coefficients(energy_e: float, cfg: PotentialConfig) -> tuple[float, float]:
     k2 = energy_e * energy_e - 1.0
     k = math.sqrt(k2)
     q2 = interior_q_squared(energy_e, cfg)
-    s = _sin_over_q(q2, cfg.half_width_a)
-    x = (k2 - q2) * s / (2.0 * k)
+    if not (math.isfinite(k2) and math.isfinite(q2)):
+        raise DomainError(
+            f"k^2 or q^2 is not finite at E={energy_e}, V0={cfg.v0} (k^2={k2}, q^2={q2})"
+        )
+    denom = (k2 - q2) * _sin_over_q(q2, cfg.half_width_a)
+    x = denom / (2.0 * k)
     t = 0.0 if math.isinf(x) else 1.0 / (1.0 + x * x)
-    denom = (k2 - q2) * s
     r_indep = 0.0 if denom == 0.0 else 1.0 / (1.0 + (2.0 * k / denom) ** 2)
     if abs(r_indep + t - 1.0) > 1e-12:
         raise NumericalError(
@@ -108,10 +111,7 @@ def amplitudes(energy_e: float, cfg: PotentialConfig) -> ScatteringSolution:
     cross-checked against the amplitude magnitudes.
     """
     energy_e = float(energy_e)
-    if not energy_e > 1.0:
-        raise DomainError(f"no incident propagating wave: requires E > 1, got {energy_e}")
-    if energy_e == math.inf:
-        raise DomainError(f"E must be finite, got {energy_e}")
+    r, t = coefficients(energy_e, cfg)  # its domain errors (E, k^2, q^2) come first
     a = cfg.half_width_a
     k2 = energy_e * energy_e - 1.0
     k = math.sqrt(k2)
@@ -132,16 +132,16 @@ def amplitudes(energy_e: float, cfg: PotentialConfig) -> ScatteringSolution:
         ratio_c_plus = 2.0 * q * k * exp_m2ika / d
     else:
         mu = math.sqrt(-q2)
-        decay = math.exp(-4.0 * mu * a)  # underflows harmlessly to 0
-        ch = 0.5 * (1.0 + decay)  # cosh(2 mu a) * e^{-2 mu a}
-        sh = 0.5 * (1.0 - decay)  # sinh(2 mu a) * e^{-2 mu a}
+        # sinh(2 mu a) e^{-2 mu a} = -expm1(-4 mu a)/2 without cancellation, and
+        # cosh(2 mu a) e^{-2 mu a} = 1 - that; both tend to 1/2 for large mu a
+        sh = -0.5 * math.expm1(-4.0 * mu * a)
+        ch = 1.0 - sh
         d = complex((k2 + q2) * sh, 2.0 * k * mu * ch)
         exp_mika = cmath.exp(-1.0j * k * a)
         ratio_a_minus = (mu * mu + k2) * sh * exp_m2ika / d
         ratio_b_plus = k * complex(k, mu) * exp_mika * math.exp(-mu * a) / d
         ratio_b_minus = k * complex(-k, mu) * exp_mika * math.exp(-3.0 * mu * a) / d
         ratio_c_plus = 2.0j * mu * k * exp_m2ika * math.exp(-2.0 * mu * a) / d
-    r, t = coefficients(energy_e, cfg)
     if abs(abs(ratio_a_minus) ** 2 - r) > _CROSS_CHECK_TOL or abs(abs(ratio_c_plus) ** 2 - t) > _CROSS_CHECK_TOL:
         raise NumericalError(
             f"amplitude/closed-form mismatch at E={energy_e}, cfg={cfg}: "

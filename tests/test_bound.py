@@ -483,6 +483,162 @@ class TestSpectrumSweep:
         assert type(sweep.g_t) is float and sweep.g_t == float(np.float32(0.1))
         assert type(sweep.half_width_a) is float and sweep.half_width_a == 5.0
 
+    def test_sweep_without_levels(self):
+        # a scalar well deeper than V0 = -2 binds no level at any strength
+        sweep = spectrum_sweep(0.0, 5.0, [-2.5, -2.2])
+        assert sweep.v0_grid == [-2.5, -2.2]
+        assert sweep.branches == sweep.ssw_events == sweep.disappearance_events == sweep.ssw_candidates == []
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_one_point_branches(self, reverse):
+        # an even particle level at V0 = -0.5, none at V0 = 0 and an even
+        # antiparticle level of the barrier at V0 = 0.1; only the level that
+        # leaves the window along the grid dives
+        grid = [0.1, 0.0, -0.5] if reverse else [-0.5, 0.0, 0.1]
+        sweep = spectrum_sweep(1.0, 0.5, grid)
+        well = {b.v0s[0]: b for b in sweep.branches}
+        assert [b.branch_id for b in sweep.branches] == [0, 1]
+        assert [len(b.states) for b in sweep.branches] == [1, 1]
+        assert well.keys() == {-0.5, 0.1}
+        particle, antiparticle = well[-0.5], well[0.1]
+        assert (particle.parity, particle.label) == ("even", "particle")
+        assert (antiparticle.parity, antiparticle.label) == ("even", "antiparticle")
+        assert particle.states[0].energy_e > 0.0 > antiparticle.states[0].energy_e
+        gone = antiparticle if reverse else particle
+        dive = bound.DisappearanceEvent(
+            0.0, gone.branch_id, "lower" if reverse else "upper", gone.states[0].energy_e
+        )
+        assert sweep.disappearance_events == [dive]
+        assert sweep.ssw_events == sweep.ssw_candidates == []
+
+
+def _walked_sweep(g_t: float, a: float, v0_grid) -> bound.SpectrumSweep:
+    """A spectrum sweep linked strength by strength, with dicts of the branches
+    alive at the previous strength: the reference for the run linking of
+    spectrum_sweep. Both share the level solve and the fold."""
+    grid = [float(v) for v in v0_grid]
+    states, owner, keys = bound._bound_states(np.array(grid), a, g_t)
+    per_point: list[list] = [[] for _ in grid]
+    for state, c, key in zip(states, owner.tolist(), zip(*(k.tolist() for k in keys))):
+        per_point[c].append((state, key))
+
+    def pair_up(ends: dict, v_alive: float, v_dead: float) -> tuple[list, list]:
+        candidates, unpaired = [], []
+        for (s, j, orient), b in sorted(ends.items(), key=lambda kb: kb[1].states[-1].energy_e):
+            partner = ends.get((s, j, -orient))
+            if partner is None:
+                unpaired.append(b)
+            elif b.states[-1].energy_e < partner.states[-1].energy_e:
+                pair = (b.states[-1].energy_e, partner.states[-1].energy_e)
+                candidates.append(bound.SswCandidate(
+                    b.parity, v_alive, v_dead, pair, (s, j), b.branch_id, partner.branch_id
+                ))
+        return candidates, unpaired
+
+    branches: list[bound.Branch] = []
+    alive: dict = {}
+    dives, candidates = [], []
+    for i, (v0, levels) in enumerate(zip(grid, per_point)):
+        linked, born = {}, {}
+        for state, key in levels:
+            assert key not in linked
+            b = alive.get(key)
+            if b is None:
+                b = born[key] = bound.Branch(len(branches), state.parity, [], [])
+                branches.append(b)
+            b.v0s.append(v0)
+            b.states.append(state)
+            linked[key] = b
+        if i > 0:
+            died, dove = pair_up({k: b for k, b in alive.items() if k not in linked}, grid[i - 1], v0)
+            candidates += died + pair_up(born, v0, grid[i - 1])[0]
+            for b in dove:
+                e = b.states[-1].energy_e
+                dives.append(bound.DisappearanceEvent(v0, b.branch_id, "upper" if e > 0.0 else "lower", e))
+        alive = linked
+    for b in branches:
+        shallow = 0 if abs(b.v0s[0]) <= abs(b.v0s[-1]) else -1
+        b.label = "particle" if b.states[shallow].energy_e > 0.0 else "antiparticle"
+    events = [bound._fold(g_t, a, c) for c in candidates]
+    return bound.SpectrumSweep(g_t, a, grid, branches, events, dives, candidates)
+
+
+def _linking_sweeps() -> dict[str, tuple[float, float, np.ndarray]]:
+    """name -> (g_t, a, grid): fig5-fig9 at 201 points, 12 seeded class-A
+    wells and two barriers."""
+    sweeps = {}
+    for name in ("fig5", "fig6", "fig7", "fig8", "fig9"):
+        p = SWEEP_BOUND_PRESETS[name]
+        sweeps[name] = (p["gt"], p["half_width"], np.linspace(p["v0_min"], p["v0_max"], 201))
+    rng = random.Random(30)
+    for k in range(12):
+        g_t, a = rng.uniform(0.5, 1.0), 10.0 ** rng.uniform(-1.0, 0.5)
+        sweeps[f"class-A-{k}"] = (g_t, a, np.linspace(-8.0, -0.01, 201))
+    sweeps["barrier-a0.5"] = (1.0, 0.5, np.linspace(0.01, 4.0, 201))
+    sweeps["barrier-a2"] = (1.0, 2.0, np.linspace(0.01, 6.0, 201))
+    return sweeps
+
+
+LINKING_SWEEPS = _linking_sweeps()
+
+
+class TestRunLinking:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("g_t, a, grid", list(LINKING_SWEEPS.values()), ids=list(LINKING_SWEEPS))
+    def test_runs_equal_the_strength_walk(self, g_t, a, grid, reverse):
+        grid = grid[::-1] if reverse else grid
+        assert spectrum_sweep(g_t, a, grid) == _walked_sweep(g_t, a, grid)
+
+    def test_sweeps_have_events(self):
+        # the comparison is only as strong as the events it meets
+        sweeps = [spectrum_sweep(*args) for args in LINKING_SWEEPS.values()]
+        assert sum(len(s.disappearance_events) for s in sweeps) > 50
+        assert sum(len(s.ssw_candidates) for s in sweeps) > 20
+
+    @staticmethod
+    def _synthetic_levels(rng: random.Random, n: int) -> tuple:
+        """_bound_states output for random runs of keys on n strengths: the
+        two keys of one (s, j) often start or stop together, and a key may
+        come back after a gap. Physical wells hardly ever end and begin two
+        pairs between the same two strengths; these runs do."""
+        levels = []
+        for s in (1.0, -1.0):
+            for j in range(4):
+                spans = [sorted(rng.randrange(n) for _ in range(2)) for _ in range(2)]
+                if rng.random() < 0.6:
+                    spans[1] = spans[0]
+                for orient, (lo, hi) in zip((1.0, -1.0), spans):
+                    gap = rng.randrange(lo, hi + 2)  # hi + 1: no gap
+                    levels += [(i, rng.uniform(-1.0, 1.0), s, j, orient) for i in range(lo, hi + 1) if i != gap]
+        levels.sort()
+        states, index = [], Counter()
+        for i, e, _, j, _ in levels:
+            index[i] += 1
+            states.append(bound.BoundState(e, "odd" if j % 2 else "even", index[i], 0.0, 0.0))
+        owner, _, s, j, orient = (np.array(x) for x in zip(*levels))
+        return states, owner, (s, j.astype(float), orient)
+
+    def test_synthetic_runs_equal_the_strength_walk(self, monkeypatch):
+        rng = random.Random(2630)
+        # a stand-in fold: these candidates have no level curves
+        monkeypatch.setattr(
+            bound, "_fold", lambda g_t, a, c: bound.SswEvent(c.v0_alive, c.pair[0], c.branch_a, c.branch_b, c.parity)
+        )
+        same_side = mixed = 0
+        for _ in range(200):
+            n = rng.randrange(2, 9)
+            levels = self._synthetic_levels(rng, n)
+            monkeypatch.setattr(bound, "_bound_states", lambda *args: levels)
+            for grid in (np.linspace(-4.0, -1.0, n), np.linspace(-1.0, -4.0, n)):
+                sweep = spectrum_sweep(1.0, 0.5, grid)
+                assert sweep == _walked_sweep(1.0, 0.5, grid)
+                sides = Counter((frozenset((c.v0_alive, c.v0_dead)), c.v0_alive) for c in sweep.ssw_candidates)
+                same_side += sum(count > 1 for count in sides.values())
+                mixed += len(sides) - len({step for step, _ in sides})
+        # pairs that end, or begin, between the same two strengths, and
+        # pairs that end where others begin
+        assert same_side > 50 and mixed > 20
+
 
 # Folds of the fig5 and fig6 level curves, solved to 50 digits with mpmath
 # independently of the library.

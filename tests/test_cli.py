@@ -305,8 +305,24 @@ class TestExtremeEnergies:
                 "resonances --gt 0.89 --half-width 5e-324 --n-max 2 --v0 -5",
                 "kgsquare: domain error: E must be finite, got inf",
             ),
+            (
+                "scatter --energy 1e200 --v0 1e200 --gt 1 --half-width 1",
+                "kgsquare: domain error: k^2 or q^2 is not finite at E=1e+200, V0=1e+200 (k^2=inf, q^2=-1.0)",
+            ),
+            (
+                "scatter --energy 1e308 --v0=-1e308 --gt 1 --half-width 1",
+                "kgsquare: domain error: k^2 or q^2 is not finite at E=1e+308, V0=-1e+308 (k^2=inf, q^2=inf)",
+            ),
         ],
-        ids=["scatter-inf", "scatter-1e300", "sweep-t-inf", "resonances-v0-1e300", "resonances-a-5e-324"],
+        ids=[
+            "scatter-inf",
+            "scatter-1e300",
+            "sweep-t-inf",
+            "resonances-v0-1e300",
+            "resonances-a-5e-324",
+            "scatter-k2-inf",
+            "scatter-q2-inf",
+        ],
     )
     def test_exit_code_and_message(self, capsys, argv, first_line):
         assert main(argv.split()) == 2

@@ -1,6 +1,7 @@
 """Scattering coefficients, amplitude ratios, resonances, and sweeps."""
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from kgsquare import (
     amplitudes,
     coefficients,
     critical_potentials,
+    interior_q_squared,
     resonance_energies,
     resonant_v0_for_energy,
     sweep_transmission,
@@ -139,6 +141,27 @@ class TestAmplitudes:
         assert sol.interior_charge_sign == (
             "negative" if energy < g_t * v0 else "positive"
         )
+
+    def test_closed_form_agreement_next_to_the_critical_strength(self):
+        # V0 = (E - 1)(1 +- 1e-16..1e-6) puts q^2 next to 0, so mu a is tiny on
+        # the evanescent side; e^{-4 mu a} there holds few digits of 4 mu a.
+        rng = random.Random(1701)
+        # evanescent with mu a = 1.5e-8, where |A-|^2 - R was 3.8e-10
+        cases = [(1.8451706785499242, 0.8451706785499246, 0.4648051483550743, 0.8011767439856785)]
+        for _ in range(2000):
+            energy = 1.0 + 10.0 ** rng.uniform(-3.0, 1.0)
+            v0 = (energy - 1.0) * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -6.0))
+            cases.append((energy, v0, 10.0 ** rng.uniform(-1.5, 1.5), rng.uniform(0.0, 1.0)))
+        evanescent = 0
+        for energy, v0, a, g_t in cases:
+            cfg = PotentialConfig(v0, a, g_t)
+            if interior_q_squared(energy, cfg) == 0.0:
+                continue
+            sol = amplitudes(energy, cfg)
+            assert abs(abs(sol.ratio_a_minus) ** 2 - sol.r) <= 1e-12, (energy, v0, a, g_t)
+            assert abs(abs(sol.ratio_c_plus) ** 2 - sol.t) <= 1e-12, (energy, v0, a, g_t)
+            evanescent += not sol.interior_propagating
+        assert evanescent > 500
 
     @settings(max_examples=300, deadline=None)
     @given(valid_energy, valid_v0, valid_a, valid_gt)
